@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemOracle, box_rng, sample_box
+from .problems import ProblemOracle, box_rng, rowdot, sample_box, unbox
 
 SLACK_TOL = 1e-9
 SAMPLING_RADIUS = 10.0
@@ -31,26 +31,48 @@ class DivergencePair:
 
 
 def bregman(oracle: ProblemOracle, y, x) -> DivergencePair:
-    """Divergences of the smooth part h between x and y."""
+    """Divergences of the smooth part h between x and y.
+
+    x and y may be batches of points along a leading axis; the fields of
+    the result are then arrays.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     gx = oracle.grad_h(x)
     gy = oracle.grad_h(y)
-    d_fwd = oracle.eval_h(y) - oracle.eval_h(x) - float(np.dot(gx, y - x))
-    d_bwd = oracle.eval_h(x) - oracle.eval_h(y) - float(np.dot(gy, x - y))
-    m_sym = 0.5 * float(np.dot(gx - gy, x - y))
-    return DivergencePair(d_forward=d_fwd, d_backward=d_bwd, m_sym=m_sym)
+    hx, hy = oracle.eval_h(x), oracle.eval_h(y)
+    d_fwd = hy - hx - rowdot(gx, y - x)
+    d_bwd = hx - hy - rowdot(gy, x - y)
+    m_sym = 0.5 * rowdot(gx - gy, x - y)
+    return DivergencePair(d_forward=unbox(d_fwd), d_backward=unbox(d_bwd), m_sym=unbox(m_sym))
 
 
-def _record(report, name, slack, sample, tol):
-    entry = report.setdefault(
-        name, {"inequality": name, "worst_slack": np.inf, "arg_worst": None, "violations": 0}
-    )
-    if slack < entry["worst_slack"]:
-        entry["worst_slack"] = float(slack)
-        entry["arg_worst"] = [float(t) for t in sample]
-    if slack < -tol:
-        entry["violations"] += 1
+def sampled_verdict(slack, tol):
+    """Worst slack over samples, the index of its first occurrence, and
+    the number of violations.
+
+    A sample violates when its slack is not >= -tol, so a NaN slack counts
+    (fail closed).  The worst slack skips NaN; with nothing below +inf it
+    is (inf, None).
+    """
+    slack = np.asarray(slack, dtype=float)
+    violations = int(np.count_nonzero(~(slack >= -tol)))
+    ranked = np.where(np.isnan(slack), np.inf, slack)
+    i = int(np.argmin(ranked)) if ranked.size else None
+    if i is None or ranked[i] == np.inf:
+        return np.inf, None, violations
+    return float(ranked[i]), i, violations
+
+
+def _entries(checks: dict, samples: np.ndarray, tol) -> dict:
+    """Report entries for named slack arrays over the same samples."""
+    report = {}
+    for name, slack in checks.items():
+        worst, i, violations = sampled_verdict(slack, tol)
+        report[name] = {"inequality": name, "worst_slack": worst,
+                        "arg_worst": None if i is None else samples[i].tolist(),
+                        "violations": violations}
+    return report
 
 
 def check_bounds_lemma1(oracle: ProblemOracle, samples: int, seed: int) -> dict:
@@ -59,26 +81,25 @@ def check_bounds_lemma1(oracle: ProblemOracle, samples: int, seed: int) -> dict:
     Upper bounds L/2 ||x-y||^2 on both divergences, lower bounds
     mu/2 ||x-y||^2 and ||grad diff||^2/(2L); for mu > 0 also the upper
     bound ||grad diff||^2/(2 mu).  Slack is (bound side) - (bounded side);
-    a violation is slack below -1e-9 * (1 + ||x-y||^2).
+    a violation is slack not >= -1e-9 * (1 + ||x-y||^2).
     """
     rng = box_rng(seed)
     mu, lip = oracle.mu, oracle.lip
     xs = sample_box(rng, oracle.x_star, SAMPLING_RADIUS, samples)
     ys = sample_box(rng, oracle.x_star, SAMPLING_RADIUS, samples)
-    report: dict = {}
-    for x, y in zip(xs, ys):
-        div = bregman(oracle, y, x)
-        dist2 = float(np.dot(x - y, x - y))
-        gdiff2 = float(np.sum((oracle.grad_h(x) - oracle.grad_h(y)) ** 2))
-        tol = SLACK_TOL * (1.0 + dist2)
-        big = max(div.d_forward, div.m_sym)
-        small = min(div.d_forward, div.m_sym)
-        _record(report, "upper_L", 0.5 * lip * dist2 - big, np.r_[x, y], tol)
-        _record(report, "lower_mu", small - 0.5 * mu * dist2, np.r_[x, y], tol)
-        _record(report, "lower_grad_sq", small - gdiff2 / (2.0 * lip), np.r_[x, y], tol)
-        if mu > 0:
-            _record(report, "upper_grad_sq", gdiff2 / (2.0 * mu) - big, np.r_[x, y], tol)
-    return report
+    div = bregman(oracle, ys, xs)
+    dist2 = rowdot(xs - ys, xs - ys)
+    gdiff2 = np.sum((oracle.grad_h(xs) - oracle.grad_h(ys)) ** 2, axis=-1)
+    big = np.maximum(div.d_forward, div.m_sym)
+    small = np.minimum(div.d_forward, div.m_sym)
+    checks = {
+        "upper_L": 0.5 * lip * dist2 - big,
+        "lower_mu": small - 0.5 * mu * dist2,
+        "lower_grad_sq": small - gdiff2 / (2.0 * lip),
+    }
+    if mu > 0:
+        checks["upper_grad_sq"] = gdiff2 / (2.0 * mu) - big
+    return _entries(checks, np.hstack([xs, ys]), SLACK_TOL * (1.0 + dist2))
 
 
 def check_minimum_bounds(oracle: ProblemOracle, samples: int, seed: int) -> dict:
@@ -86,28 +107,29 @@ def check_minimum_bounds(oracle: ProblemOracle, samples: int, seed: int) -> dict
     rng = box_rng(seed)
     mu, lip = oracle.mu, oracle.lip
     xs = sample_box(rng, oracle.x_star, SAMPLING_RADIUS, samples)
-    report: dict = {}
-    for x in xs:
-        g = oracle.grad_h(x)
-        gap = oracle.eval_h(x) - oracle.eval_h(oracle.x_star)
-        d = x - oracle.x_star
-        dist2 = float(np.dot(d, d))
-        gnorm2 = float(np.dot(g, g))
-        inner = float(np.dot(g, d))
-        tol = SLACK_TOL * (1.0 + dist2)
-        _record(report, "gap_lower_grad", gap - gnorm2 / (2.0 * lip), x, tol)
-        _record(report, "gap_upper_dist", 0.5 * lip * dist2 - gap, x, tol)
-        _record(report, "inner_lower_grad", inner - gnorm2 / lip, x, tol)
-        _record(report, "inner_upper_dist", lip * dist2 - inner, x, tol)
-        refined = (mu * lip / (mu + lip)) * dist2 + gnorm2 / (mu + lip)
-        _record(report, "inner_refined", inner - refined, x, tol)
-        if mu > 0:
-            _record(report, "gap_lower_dist", gap - 0.5 * mu * dist2, x, tol)
-            _record(report, "gap_upper_grad", gnorm2 / (2.0 * mu) - gap, x, tol)
-            _record(report, "inner_lower_dist", inner - mu * dist2, x, tol)
-            _record(report, "inner_upper_grad", gnorm2 / mu - inner, x, tol)
-            _record(report, "inner_strong", inner - gap - 0.5 * mu * dist2, x, tol)
-    return report
+    g = oracle.grad_h(xs)
+    gap = oracle.eval_h(xs) - oracle.eval_h(oracle.x_star)
+    d = xs - oracle.x_star
+    dist2 = rowdot(d, d)
+    gnorm2 = rowdot(g, g)
+    inner = rowdot(g, d)
+    refined = (mu * lip / (mu + lip)) * dist2 + gnorm2 / (mu + lip)
+    checks = {
+        "gap_lower_grad": gap - gnorm2 / (2.0 * lip),
+        "gap_upper_dist": 0.5 * lip * dist2 - gap,
+        "inner_lower_grad": inner - gnorm2 / lip,
+        "inner_upper_dist": lip * dist2 - inner,
+        "inner_refined": inner - refined,
+    }
+    if mu > 0:
+        checks.update({
+            "gap_lower_dist": gap - 0.5 * mu * dist2,
+            "gap_upper_grad": gnorm2 / (2.0 * mu) - gap,
+            "inner_lower_dist": inner - mu * dist2,
+            "inner_upper_grad": gnorm2 / mu - inner,
+            "inner_strong": inner - gap - 0.5 * mu * dist2,
+        })
+    return _entries(checks, xs, SLACK_TOL * (1.0 + dist2))
 
 
 def total_violations(report: dict) -> int:
@@ -142,7 +164,5 @@ def bregman_by_quadrature(oracle: ProblemOracle, y, x, panels: int = 10_000) -> 
     x = np.asarray(x, dtype=float)
     gx = oracle.grad_h(x)
     xi = (np.arange(panels) + 0.5) / panels
-    total = 0.0
-    for t in xi:
-        total += float(np.dot(oracle.grad_h(x + t * (y - x)) - gx, y - x))
-    return total / panels
+    points = x + xi[:, None] * (y - x)
+    return float(np.sum(rowdot(oracle.grad_h(points) - gx, y - x))) / panels

@@ -11,13 +11,12 @@ confirms the Lyapunov bounds along them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .problems import ProblemOracle
+from .problems import ProblemOracle, rowdot, unbox
 
 FLOW_KINDS = ("gradient", "scaled_gradient", "heavy_ball", "avd_r3", "hnag")
 
@@ -42,6 +41,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class FlowState:
+    """One state of a flow, or a batch of states along a leading axis.
+
+    A single state has a float ``t``, vectors ``x`` (and ``v``) of length
+    dim and a float ``gamma``.  A batch of k states has ``t`` and ``gamma``
+    of shape (k,) and ``x`` and ``v`` of shape (k, dim); ``integrate``
+    returns a whole trajectory in this form.
+    """
+
     t: float
     x: np.ndarray
     v: Optional[np.ndarray] = None
@@ -51,7 +58,7 @@ class FlowState:
         self.x = np.asarray(self.x, dtype=float)
         if self.v is not None:
             self.v = np.asarray(self.v, dtype=float)
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and np.any(np.asarray(self.gamma) <= 0):
             raise FlowError("gamma must be positive when present")
 
 
@@ -79,40 +86,58 @@ class FlowModel:
         return _HAS_GAMMA[self.kind]
 
 
-def _deriv(x, v=None, gamma=None) -> FlowState:
-    # Derivative slots skip __post_init__: a gamma derivative may be negative.
+def _velocity(model: FlowModel, t, x, v, gamma):
+    """The vector field block by block: (x', v', gamma'), None for an
+    absent block.  t and gamma are floats, or columns of shape (..., 1)
+    that scale the rows of x."""
+    oracle = model.oracle
+    g = oracle.grad_h(x)
+    kind = model.kind
+    if kind == "gradient":
+        return -g, None, None
+    if kind == "scaled_gradient":
+        return -g / gamma, None, oracle.mu - gamma
+    if kind == "heavy_ball":
+        return v - x, x - v - g / oracle.mu, None
+    if kind == "avd_r3":
+        sg = np.sqrt(gamma)
+        return sg * (v - x), -g / sg, -gamma * sg
+    beta = model.beta_fn(t)
+    return (v - x - beta * g,
+            (oracle.mu / gamma) * (x - v) - g / gamma,
+            oracle.mu - gamma)
+
+
+def _raw_state(t, x, v=None, gamma=None) -> FlowState:
+    # Skips __post_init__: a derivative's gamma slot may be negative, and a
+    # trajectory is stored as it was integrated.
     st = FlowState.__new__(FlowState)
-    st.t, st.x, st.v = 1.0, np.asarray(x, dtype=float), v
-    st.gamma = None if gamma is None else float(gamma)
+    st.t, st.x, st.v, st.gamma = t, x, v, gamma
     return st
 
 
-def field(model: FlowModel, state: FlowState) -> FlowState:
-    """Time derivative of the state; the t slot of the result is dt/dt = 1."""
-    x = state.x
-    oracle = model.oracle
+def _check_blocks(model: FlowModel, state: FlowState):
     if model.has_v and state.v is None:
         raise FlowError(f"{model.kind} flow needs a v block")
     if model.has_gamma and state.gamma is None:
         raise FlowError(f"{model.kind} flow needs a gamma block")
-    g = oracle.grad_h(x)
-    if model.kind == "gradient":
-        return _deriv(-g)
-    if model.kind == "scaled_gradient":
-        return _deriv(-g / state.gamma, gamma=oracle.mu - state.gamma)
-    v = state.v
-    if model.kind == "heavy_ball":
-        return _deriv(v - x, v=x - v - g / oracle.mu)
-    if model.kind == "avd_r3":
-        sg = math.sqrt(state.gamma)
-        return _deriv(sg * (v - x), v=-g / sg, gamma=-state.gamma * sg)
-    beta = model.beta_fn(state.t)
-    return _deriv(v - x - beta * g,
-                  v=(oracle.mu / state.gamma) * (x - v) - g / state.gamma,
-                  gamma=oracle.mu - state.gamma)
+
+
+def field(model: FlowModel, state: FlowState) -> FlowState:
+    """Time derivative of the state (or of each state of a batch); the t
+    slot of the result is dt/dt = 1."""
+    _check_blocks(model, state)
+    x = np.asarray(state.x, dtype=float)
+    dx, dv, dgamma = _velocity(model, _column(state.t), x, state.v, _column(state.gamma))
+    return _raw_state(1.0, dx, dv, None if dgamma is None else unbox(dgamma[..., 0]))
+
+
+def _column(a):
+    return None if a is None else np.asarray(a, dtype=float)[..., None]
 
 
 def _pack(model: FlowModel, state: FlowState) -> np.ndarray:
+    """A single state as one vector laid out [x | v | gamma]."""
     parts = [state.x]
     if model.has_v:
         parts.append(state.v)
@@ -121,44 +146,74 @@ def _pack(model: FlowModel, state: FlowState) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _unpack(model: FlowModel, t: float, y: np.ndarray) -> FlowState:
+def _unpack(model: FlowModel, t, y: np.ndarray) -> FlowState:
+    """Inverse of _pack over the last axis: a vector gives a single state,
+    a (k, m) array a batch."""
     n = model.oracle.dim
-    x = y[:n]
-    v = y[n:2 * n] if model.has_v else None
-    gamma = float(y[-1]) if model.has_gamma else None
-    st = FlowState.__new__(FlowState)
-    st.t, st.x, st.v, st.gamma = t, x, v, gamma
-    return st
+    v = y[..., n:2 * n] if model.has_v else None
+    gamma = y[..., -1] if model.has_gamma else None
+    if y.ndim == 1 and gamma is not None:
+        gamma = float(gamma)
+    return _raw_state(t, y[..., :n], v, gamma)
 
 
-def _rhs(model: FlowModel, t: float, y: np.ndarray) -> np.ndarray:
-    return _pack(model, field(model, _unpack(model, t, y)))
+def _packed_field(model: FlowModel):
+    """rhs(t, y, out): the field at the packed state y, written into out.
+
+    x and v are views of y, and gamma is read as a float, as a single
+    state holds it."""
+    n = model.oracle.dim
+    has_v, has_gamma = model.has_v, model.has_gamma
+
+    def rhs(t, y, out):
+        dx, dv, dgamma = _velocity(model, t, y[:n], y[n:2 * n] if has_v else None,
+                                   float(y[-1]) if has_gamma else None)
+        out[:n] = dx
+        if has_v:
+            out[n:2 * n] = dv
+        if has_gamma:
+            out[-1] = dgamma
+
+    return rhs
 
 
-def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float):
+def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> FlowState:
     """Classical RK4 with a fixed step, sampled every step.
 
-    Returns the list of FlowState including state0.  Raises DivergenceError
-    carrying the last finite state if the trajectory blows up.
+    Returns the trajectory, state0 included, as one batched FlowState with
+    a leading axis of steps + 1.  Raises DivergenceError carrying the last
+    finite state if the trajectory blows up.
     """
     if dt <= 0 or t_end <= state0.t:
         raise FlowError("need dt > 0 and t_end > t0")
+    _check_blocks(model, state0)
     n_steps = max(1, int(round((t_end - state0.t) / dt)))
     h = (t_end - state0.t) / n_steps
-    y = _pack(model, state0)
-    t = state0.t
-    out = [state0]
-    for _ in range(n_steps):
-        k1 = _rhs(model, t, y)
-        k2 = _rhs(model, t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = _rhs(model, t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = _rhs(model, t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half, sixth = 0.5 * h, h / 6.0
+    rhs = _packed_field(model)
+    y0 = _pack(model, state0)
+    traj = np.empty((n_steps + 1, y0.size))
+    traj[0] = y0
+    times = np.empty(n_steps + 1)
+    t = times[0] = state0.t
+    k = np.empty((4, y0.size))
+    k1, k2, k3, k4 = k
+    for i in range(n_steps):
+        y = traj[i]
+        rhs(t, y, k1)
+        rhs(t + half, y + half * k1, k2)
+        rhs(t + half, y + half * k2, k3)
+        rhs(t + h, y + h * k3, k4)
+        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right as written
+        k[1:3] *= 2.0
+        y_next = traj[i + 1]
+        np.add(y, sixth * np.add.reduce(k, axis=0), out=y_next)
         t += h
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"integration diverged at t={t:.6g}", out[-1])
-        out.append(_unpack(model, t, y))
-    return out
+        times[i + 1] = t
+        if not np.isfinite(y_next).all():
+            raise DivergenceError(f"integration diverged at t={t:.6g}",
+                                  _unpack(model, float(times[i]), y.copy()))
+    return _unpack(model, times, traj)
 
 
 def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
@@ -168,40 +223,36 @@ def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
     The bound accumulates the decay-rate integral along the trajectory by
     the trapezoid rule: exponential decay exp(-int c) for exponent q = 1,
     the algebraic closure ((q-1) int c + L0^(1-q))^(1/(1-q)) for q > 1.
+    A step whose relative excess is not <= rel_tol (NaN included) fails.
     """
     from . import lyapunov as lyap_mod
 
-    traj = integrate(model, state0, t_end, dt)
     params = lyapunov.strong_params
     if params is None:
         raise FlowError("Lyapunov spec has no decay parameters attached")
+    traj = integrate(model, state0, t_end, dt)
     oracle = model.oracle
-    l0 = lyap_mod.evaluate(lyapunov, oracle, traj[0])
-    q = params.q
-    integral = 0.0
-    c_prev = params.c(traj[0])
-    rows = []
-    first_bad = None
-    max_excess = 0.0
-    for prev, st in zip(traj, traj[1:]):
-        c_now = params.c(st)
-        integral += 0.5 * (c_prev + c_now) * (st.t - prev.t)
-        c_prev = c_now
-        val = lyap_mod.evaluate(lyapunov, oracle, st)
-        if q == 1.0:
-            bound = l0 * math.exp(-integral)
-        else:
-            bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
-        excess = (val - bound) / (abs(bound) + 1e-300)
-        max_excess = max(max_excess, excess)
-        if excess > rel_tol and first_bad is None:
-            first_bad = st.t
-        err = float(np.linalg.norm(st.x - oracle.x_star))
-        rows.append((st.t, val, bound, err, st.gamma if st.gamma is not None else ""))
+    t = traj.t
+    values = lyap_mod.evaluate(lyapunov, oracle, traj)
+    rate = np.broadcast_to(params.c(traj), t.shape)
+    # np.cumsum adds in sequence, as a running sum over the steps would
+    integral = np.cumsum(0.5 * (rate[:-1] + rate[1:]) * np.diff(t))
+    l0, q = float(values[0]), params.q
+    if q == 1.0:
+        bound = l0 * np.exp(-integral)
+    else:
+        bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
+    val = values[1:]
+    excess = (val - bound) / (np.abs(bound) + 1e-300)
+    bad = np.flatnonzero(~(excess <= rel_tol))
+    d = traj.x[1:] - oracle.x_star
+    err = np.sqrt(rowdot(d, d))
+    gamma = [""] * bound.size if traj.gamma is None else traj.gamma[1:].tolist()
+    rows = list(zip(t[1:].tolist(), val.tolist(), bound.tolist(), err.tolist(), gamma))
     return {
-        "pass": first_bad is None,
+        "pass": bad.size == 0,
         "rel_tol": rel_tol,
-        "first_violation_t": first_bad,
-        "max_rel_excess": max_excess,
+        "first_violation_t": float(t[1 + bad[0]]) if bad.size else None,
+        "max_rel_excess": float(np.max(excess, initial=0.0, where=~np.isnan(excess))),
         "rows": rows,
     }

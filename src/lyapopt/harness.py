@@ -195,10 +195,11 @@ def cmd_rates(rule: str, r: float, mu_over_l: float, k_max: int,
     if out:
         _write_csv(out, ["k", "rho_measured", "rho_bound"], rows)
         log.info("rate table written to %s", out)
-    ok = max_slack_violation <= 1e-12
+    # the measured factors are numpy floats: cast so the report is plain JSON
+    ok = bool(max_slack_violation <= 1e-12)
     log.info("rates %s: %s", rule, "PASS" if ok else "FAIL")
     return {"rule": rule, "k_max": k_max, "pass": ok,
-            "max_violation": max_slack_violation}
+            "max_violation": float(max_slack_violation)}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import flows
-from .problems import ProblemOracle, box_rng, make_lasso, make_logcosh, make_quadratic
+from .calculus import sampled_verdict
+from .problems import (ProblemOracle, box_rng, make_lasso, make_logcosh, make_quadratic,
+                       rowdot, unbox)
 
 SLACK_TOL = 1e-9
 SAMPLING_RADIUS = 10.0
@@ -30,7 +32,11 @@ class LyapunovConfigError(ValueError):
 
 @dataclass(frozen=True)
 class StrongParams:
-    """Decay parameters: rate c(state), exponent q, dissipation p^2(state)."""
+    """Decay parameters: rate c(state), exponent q, dissipation p^2(state).
+
+    c and p_sq take a FlowState, single or batched, and return one value
+    per state (a float, or an array over the batch; a constant broadcasts).
+    """
 
     c: Callable[[flows.FlowState], float]
     q: float
@@ -53,25 +59,35 @@ def _need(state: flows.FlowState, block: str, kind: str):
         raise LyapunovConfigError(f"Lyapunov kind {kind!r} needs state block {block!r}")
 
 
-def evaluate(lyap: LyapunovSpec, oracle: ProblemOracle, state: flows.FlowState) -> float:
+def _sq_dist(a, center):
+    return np.sum((a - center) ** 2, axis=-1)
+
+
+def _per_state(value, x):
+    """A per-state scalar shaped to scale the rows of x."""
+    return np.asarray(value)[..., None] if x.ndim > 1 else value
+
+
+def evaluate(lyap: LyapunovSpec, oracle: ProblemOracle, state: flows.FlowState):
+    """L at the state: a float, or an array over a batched state."""
     x = np.asarray(state.x, dtype=float)
     gap = oracle.eval_f(x) - oracle.f_star
     if lyap.kind == "opt_gap":
         return gap
     if lyap.kind == "dist_sq":
-        return 0.5 * float(np.sum((x - oracle.x_star) ** 2))
+        return unbox(0.5 * _sq_dist(x, oracle.x_star))
     if lyap.kind == "combined_mu":
-        return gap + 0.5 * oracle.mu * float(np.sum((x - oracle.x_star) ** 2))
+        return unbox(gap + 0.5 * oracle.mu * _sq_dist(x, oracle.x_star))
     if lyap.kind == "scaled":
         _need(state, "gamma", lyap.kind)
-        return gap + 0.5 * state.gamma * float(np.sum((x - oracle.x_star) ** 2))
+        return unbox(gap + 0.5 * state.gamma * _sq_dist(x, oracle.x_star))
     if lyap.kind == "hb":
         _need(state, "v", lyap.kind)
-        return gap + 0.5 * oracle.mu * float(np.sum((state.v - oracle.x_star) ** 2))
+        return unbox(gap + 0.5 * oracle.mu * _sq_dist(state.v, oracle.x_star))
     # avd_nag
     _need(state, "v", lyap.kind)
     _need(state, "gamma", lyap.kind)
-    return gap + 0.5 * state.gamma * float(np.sum((state.v - oracle.x_star) ** 2))
+    return unbox(gap + 0.5 * state.gamma * _sq_dist(state.v, oracle.x_star))
 
 
 def grad_blocks(lyap: LyapunovSpec, oracle: ProblemOracle, state: flows.FlowState) -> dict:
@@ -87,40 +103,107 @@ def grad_blocks(lyap: LyapunovSpec, oracle: ProblemOracle, state: flows.FlowStat
         return {"x": g + oracle.mu * dx}
     if lyap.kind == "scaled":
         _need(state, "gamma", lyap.kind)
-        return {"x": g + state.gamma * dx, "gamma": 0.5 * float(np.sum(dx * dx))}
+        return {"x": g + _per_state(state.gamma, x) * dx,
+                "gamma": unbox(0.5 * np.sum(dx * dx, axis=-1))}
     dv = state.v - oracle.x_star if state.v is not None else None
     if lyap.kind == "hb":
         _need(state, "v", lyap.kind)
         return {"x": g, "v": oracle.mu * dv}
     _need(state, "v", lyap.kind)
     _need(state, "gamma", lyap.kind)
-    return {"x": g, "v": state.gamma * dv, "gamma": 0.5 * float(np.sum(dv * dv))}
+    return {"x": g, "v": _per_state(state.gamma, x) * dv,
+            "gamma": unbox(0.5 * np.sum(dv * dv, axis=-1))}
 
 
-def decay_rate(lyap: LyapunovSpec, model: flows.FlowModel, state: flows.FlowState) -> float:
+def decay_rate(lyap: LyapunovSpec, model: flows.FlowModel, state: flows.FlowState):
     """-grad(L) . G along the model's vector field, summed over blocks."""
     grads = grad_blocks(lyap, model.oracle, state)
     vel = flows.field(model, state)
-    total = float(np.dot(grads["x"], vel.x))
+    total = rowdot(grads["x"], vel.x)
     if "v" in grads:
-        total += float(np.dot(grads["v"], vel.v))
+        total = total + rowdot(grads["v"], vel.v)
     if "gamma" in grads:
-        total += grads["gamma"] * vel.gamma
-    return -total
+        total = total + grads["gamma"] * vel.gamma
+    return unbox(-total)
 
 
-def _sample_state(model: flows.FlowModel, rng, radius: float) -> flows.FlowState:
-    oracle = model.oracle
-    x = oracle.x_star + rng.uniform(-radius, radius, size=oracle.dim)
-    v = None
-    if model.has_v:
-        v = oracle.x_star + rng.uniform(-radius, radius, size=oracle.dim)
-    gamma = None
-    if model.has_gamma:
-        gamma = float(rng.uniform(*GAMMA_RANGE))
-    st = flows.FlowState.__new__(flows.FlowState)
-    st.t, st.x, st.v, st.gamma = 0.0, x, v, gamma
-    return st
+# A block of draws holds at most this many uniforms (one row per draw, at
+# least one row), so a sampled check works in arrays of ~64 KB whatever the
+# problem's width; larger blocks measured no faster.
+_BLOCK_VALUES = 1 << 13
+
+
+def _kept_blocks(rng, samples: int, width: int, rejects=None):
+    """Rejection sampling over rows of `width` uniforms on [0, 1).
+
+    Draw i is row i of the rng.random((k, width)) blocks, which is the
+    stream that per-draw rng.uniform calls for `width` values consume.
+    Keeps the first `samples` draws that rejects(rows) does not refuse,
+    drawing at most 200 * samples.  Yields (rows, draws) per block: the
+    kept rows and the draws so far, which after the last block is the
+    index of the last kept draw + 1, or the cap.
+    """
+    cap = 200 * samples
+    block = max(1, min(samples, _BLOCK_VALUES // width))
+    n_kept = draws = 0
+    while n_kept < samples and draws < cap:
+        rows = rng.random((min(block, cap - draws), width))
+        idx = np.arange(len(rows)) if rejects is None else np.flatnonzero(~rejects(rows))
+        idx = idx[:samples - n_kept]
+        n_kept += idx.size
+        draws += int(idx[-1]) + 1 if n_kept == samples else len(rows)
+        yield rows[idx], draws
+
+
+def _report(blocks, samples: int) -> dict:
+    """The verdict over (slack, tol, points, draws) blocks: the worst slack
+    and its first point, as sampled_verdict gives them over all samples."""
+    n = violations = draws = 0
+    worst, arg_min = math.inf, None
+    for slack, tol, points, draws in blocks:
+        block_worst, i, block_violations = sampled_verdict(slack, tol)
+        if block_worst < worst:
+            worst, arg_min = block_worst, points[i].tolist()
+        n += slack.size
+        violations += block_violations
+    return {
+        "samples": n,
+        "draws": draws,
+        "min_slack": worst,
+        "violations": violations,
+        "arg_min_x": arg_min,
+        "pass": violations == 0 and n == samples,
+    }
+
+
+def _sample_states(flow: flows.FlowModel, samples: int, seed: int,
+                   f0_level: Optional[float] = None):
+    """The states the strong check runs on: yields (states, draws) per
+    block, the states as one batched FlowState.
+
+    Each draw is a state with x (and v) uniform on the box of radius
+    SAMPLING_RADIUS around x* and gamma uniform on GAMMA_RANGE.  With an
+    f0_level only states with f(x) <= f0_level are kept.
+    """
+    oracle = flow.oracle
+    n = oracle.dim
+    gamma_lo, gamma_hi = GAMMA_RANGE
+
+    def box(u):
+        return oracle.x_star + (-SAMPLING_RADIUS + 2.0 * SAMPLING_RADIUS * u)
+
+    rejects = None
+    if f0_level is not None:
+        def rejects(rows):
+            return oracle.eval_f(box(rows[:, :n])) > f0_level
+
+    width = n * (2 if flow.has_v else 1) + (1 if flow.has_gamma else 0)
+    for rows, draws in _kept_blocks(box_rng(seed), samples, width, rejects):
+        yield flows.FlowState(
+            np.zeros(len(rows)), box(rows[:, :n]),
+            v=box(rows[:, n:2 * n]) if flow.has_v else None,
+            gamma=gamma_lo + (gamma_hi - gamma_lo) * rows[:, -1] if flow.has_gamma else None,
+        ), draws
 
 
 def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
@@ -130,42 +213,64 @@ def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
 
     For domain "sublevel" only states with f(x) <= f0_level are kept
     (rejection sampling, capped at 200x the requested count).
-    PASS iff the minimum slack stays above -1e-9 (1 + |L|^q).
+    PASS iff every slack is >= -1e-9 (1 + |L|^q); a NaN slack is a
+    violation.
     """
     if lyap.strong_params is None:
         raise LyapunovConfigError("Lyapunov spec has no strong-condition parameters")
-    if lyap.domain == "sublevel" and f0_level is None:
-        f0_level = flow.oracle.f0_level
+    if lyap.domain == "sublevel":
+        if f0_level is None:
+            f0_level = flow.oracle.f0_level
         if f0_level is None:
             raise LyapunovConfigError("sublevel domain needs an f0 level")
+    else:
+        f0_level = None
     params = lyap.strong_params
-    rng = box_rng(seed)
-    oracle = flow.oracle
-    kept = 0
-    draws = 0
-    min_slack = math.inf
-    arg_min = None
-    violations = 0
-    while kept < samples and draws < 200 * samples:
-        st = _sample_state(flow, rng, SAMPLING_RADIUS)
-        draws += 1
-        if lyap.domain == "sublevel" and oracle.eval_f(st.x) > f0_level:
-            continue
-        kept += 1
-        lval = evaluate(lyap, oracle, st)
-        slack = decay_rate(lyap, flow, st) - params.c(st) * lval ** params.q - params.p_sq(st)
-        if slack < min_slack:
-            min_slack = slack
-            arg_min = st
-        if slack < -SLACK_TOL * (1.0 + abs(lval) ** params.q):
-            violations += 1
-    return {
-        "samples": kept,
-        "min_slack": min_slack,
-        "violations": violations,
-        "arg_min_x": None if arg_min is None else [float(t) for t in arg_min.x],
-        "pass": violations == 0 and kept == samples,
-    }
+
+    def blocks():
+        for st, draws in _sample_states(flow, samples, seed, f0_level):
+            lval = evaluate(lyap, flow.oracle, st)
+            slack = decay_rate(lyap, flow, st) - params.c(st) * lval ** params.q - params.p_sq(st)
+            yield slack, SLACK_TOL * (1.0 + np.abs(lval) ** params.q), st.x, draws
+
+    return _report(blocks(), samples)
+
+
+def _sample_prox_points(oracle: ProblemOracle, samples: int, seed: int):
+    """The composite check's sample points: yields (y, x, draws) per block.
+
+    A draw w, uniform on a box around x*, maps to the gradient step
+    y = w - s grad h(w) and x = prox_g(y, s), s = 1/L.  The box radius is
+    SAMPLING_RADIUS when mu > 0.  When mu = 0 it is log-uniform on
+    [0.01, SAMPLING_RADIUS], since in high dimension a fixed box almost
+    never lands the prox point inside the initial sublevel set, and only
+    points with f(x) <= f0_level are kept.
+    """
+    s = 1.0 / oracle.lip
+    mu = oracle.mu
+    exp_lo = -2.0
+    exp_span = math.log10(SAMPLING_RADIUS) - exp_lo
+
+    def prox_points(rows):
+        if mu > 0:
+            radius, u = SAMPLING_RADIUS, rows
+        else:
+            # Python's float pow: numpy's vectorized power can differ by an ulp
+            exponents = (exp_lo + exp_span * rows[:, 0]).tolist()
+            radius = np.array([10.0 ** e for e in exponents])[:, None]
+            u = rows[:, 1:]
+        w = oracle.x_star + (-radius + 2.0 * radius * u)
+        y = w - s * oracle.grad_h(w)
+        return y, oracle.prox_g(y, s)
+
+    rejects = None
+    if mu == 0:
+        def rejects(rows):
+            return oracle.eval_f(prox_points(rows)[1]) > oracle.f0_level
+
+    width = oracle.dim + (0 if mu > 0 else 1)
+    for rows, draws in _kept_blocks(box_rng(seed), samples, width, rejects):
+        yield (*prox_points(rows), draws)
 
 
 def composite_condition_check(oracle: ProblemOracle, samples: int, seed: int,
@@ -177,13 +282,12 @@ def composite_condition_check(oracle: ProblemOracle, samples: int, seed: int,
     d = grad h(x) + q is a concrete element of the subdifferential.  The
     inequality checked is ||d||^2 >= c L^q(x) + ||d||^2 / 2 with
     (c, q) = (mu, 1) when mu > 0 and (1/(2 R0^2), 2) on the f(0)-sublevel
-    set when mu = 0.
+    set when mu = 0.  A NaN slack is a violation.
     """
     if not oracle.is_composite:
         raise LyapunovConfigError("composite pairing needs a composite oracle")
-    mu = oracle.mu
-    if mu > 0:
-        c_val, q = mu, 1.0
+    if oracle.mu > 0:
+        c_val, q = oracle.mu, 1.0
     else:
         if oracle.radius_r0 is None or oracle.f0_level is None:
             raise LyapunovConfigError("mu = 0 composite pairing needs R0 and f0")
@@ -191,42 +295,16 @@ def composite_condition_check(oracle: ProblemOracle, samples: int, seed: int,
     if c_override is not None:
         c_val = c_override
     s = 1.0 / oracle.lip
-    rng = box_rng(seed)
-    kept = 0
-    draws = 0
-    min_slack = math.inf
-    arg_min = None
-    violations = 0
-    while kept < samples and draws < 200 * samples:
-        if mu > 0:
-            radius = SAMPLING_RADIUS
-        else:
-            # log-uniform radius: in high dimension a fixed box almost never
-            # lands the prox point inside the initial sublevel set
-            radius = 10.0 ** rng.uniform(-2.0, math.log10(SAMPLING_RADIUS))
-        w = oracle.x_star + rng.uniform(-radius, radius, size=oracle.dim)
-        draws += 1
-        y = w - s * oracle.grad_h(w)
-        x = oracle.prox_g(y, s)
-        if mu == 0 and oracle.eval_f(x) > oracle.f0_level:
-            continue
-        kept += 1
-        d = oracle.grad_h(x) + (y - x) / s
-        dsq = float(np.dot(d, d))
-        lval = oracle.eval_f(x) - oracle.f_star
-        slack = dsq - c_val * lval ** q - 0.5 * dsq
-        if slack < min_slack:
-            min_slack = slack
-            arg_min = x
-        if slack < -SLACK_TOL * (1.0 + abs(lval) ** q):
-            violations += 1
-    return {
-        "samples": kept,
-        "min_slack": min_slack,
-        "violations": violations,
-        "arg_min_x": None if arg_min is None else [float(t) for t in arg_min],
-        "pass": violations == 0 and kept == samples,
-    }
+
+    def blocks():
+        for y, x, draws in _sample_prox_points(oracle, samples, seed):
+            d = oracle.grad_h(x) + (y - x) / s
+            dsq = rowdot(d, d)
+            lval = oracle.eval_f(x) - oracle.f_star
+            slack = dsq - c_val * lval ** q - 0.5 * dsq
+            yield slack, SLACK_TOL * (1.0 + np.abs(lval) ** q), x, draws
+
+    return _report(blocks(), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +325,7 @@ def pairing_gd_combined(oracle: Optional[ProblemOracle] = None, c_override=None)
         StrongParams(
             c=lambda st: c_override if c_override is not None else mu,
             q=1.0,
-            p_sq=lambda st: float(np.sum(oracle.grad_h(st.x) ** 2)),
+            p_sq=lambda st: np.sum(oracle.grad_h(st.x) ** 2, axis=-1),
         ),
     )
     return model, lyap
@@ -275,7 +353,7 @@ def pairing_scaled(oracle: Optional[ProblemOracle] = None, c_override=None):
         StrongParams(
             c=lambda st: c_override if c_override is not None else 1.0,
             q=1.0,
-            p_sq=lambda st: float(np.sum(oracle.grad_h(st.x) ** 2)) / st.gamma,
+            p_sq=lambda st: np.sum(oracle.grad_h(st.x) ** 2, axis=-1) / st.gamma,
         ),
     )
     return model, lyap
@@ -291,7 +369,7 @@ def pairing_hb(oracle: Optional[ProblemOracle] = None, c_override=None):
         StrongParams(
             c=lambda st: c_override if c_override is not None else 1.0,
             q=1.0,
-            p_sq=lambda st: 0.5 * mu * float(np.sum((st.x - st.v) ** 2)),
+            p_sq=lambda st: 0.5 * mu * _sq_dist(st.x, st.v),
         ),
     )
     return model, lyap
@@ -304,7 +382,7 @@ def pairing_avd(oracle: Optional[ProblemOracle] = None, c_override=None):
     lyap = LyapunovSpec(
         "avd_nag",
         StrongParams(
-            c=lambda st: c_override if c_override is not None else math.sqrt(st.gamma),
+            c=lambda st: c_override if c_override is not None else np.sqrt(st.gamma),
             q=1.0,
             p_sq=lambda st: 0.0,
         ),
@@ -320,8 +398,7 @@ def pairing_hnag(oracle: Optional[ProblemOracle] = None, c_override=None):
 
     def p_sq(st):
         g = oracle.grad_h(st.x)
-        return (model.beta_fn(st.t) * float(np.dot(g, g))
-                + 0.5 * mu * float(np.sum((st.x - st.v) ** 2)))
+        return model.beta_fn(st.t) * rowdot(g, g) + 0.5 * mu * _sq_dist(st.x, st.v)
 
     lyap = LyapunovSpec(
         "avd_nag",

@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyapopt import calculus
-from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic
+from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic, sample_box
 
 QUAD = make_quadratic([1.0, 4.0, 9.0], [1.0, 0.0, -3.0])
 LOGCOSH = make_logcosh(2.0, dim=2)
@@ -79,6 +82,62 @@ class TestCurvatureBounds:
         bad = dataclasses.replace(QUAD, lip=1.0)
         report = calculus.check_bounds_lemma1(bad, samples=500, seed=0)
         assert report["upper_L"]["violations"] > 0
+
+
+def reference_lemma1(oracle, samples, seed):
+    """check_bounds_lemma1 one pair at a time: [worst, arg_worst, violations]."""
+    rng = box_rng(seed)
+    xs = sample_box(rng, oracle.x_star, calculus.SAMPLING_RADIUS, samples)
+    ys = sample_box(rng, oracle.x_star, calculus.SAMPLING_RADIUS, samples)
+    out = {}
+    for x, y in zip(xs, ys):
+        div = calculus.bregman(oracle, y, x)
+        dist2 = float(np.dot(x - y, x - y))
+        gdiff2 = float(np.sum((oracle.grad_h(x) - oracle.grad_h(y)) ** 2))
+        big, small = max(div.d_forward, div.m_sym), min(div.d_forward, div.m_sym)
+        slacks = {"upper_L": 0.5 * oracle.lip * dist2 - big,
+                  "lower_mu": small - 0.5 * oracle.mu * dist2,
+                  "lower_grad_sq": small - gdiff2 / (2.0 * oracle.lip)}
+        if oracle.mu > 0:
+            slacks["upper_grad_sq"] = gdiff2 / (2.0 * oracle.mu) - big
+        for name, slack in slacks.items():
+            entry = out.setdefault(name, [math.inf, None, 0])
+            if slack < entry[0]:
+                entry[0], entry[1] = slack, np.r_[x, y].tolist()
+            if slack < -calculus.SLACK_TOL * (1.0 + dist2):
+                entry[2] += 1
+    return out
+
+
+class TestBatchedChecks:
+    @pytest.mark.parametrize("oracle", [QUAD, LOGCOSH, lasso_oracle()],
+                             ids=["quadratic", "logcosh", "lasso"])
+    def test_lemma1_matches_per_pair_loop(self, oracle):
+        report = calculus.check_bounds_lemma1(oracle, samples=300, seed=5)
+        ref = reference_lemma1(oracle, 300, 5)
+        assert set(report) == set(ref)
+        for name, (worst, arg, violations) in ref.items():
+            assert report[name]["worst_slack"] == worst
+            assert report[name]["arg_worst"] == arg
+            assert report[name]["violations"] == violations
+
+    def test_nan_gradient_counts_as_violation(self):
+        def grad(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x[..., :1] > QUAD.x_star[0], np.nan, QUAD.grad_h(x))
+
+        report = calculus.check_minimum_bounds(dataclasses.replace(QUAD, grad_h=grad),
+                                               samples=200, seed=0)
+        assert 0 < report["gap_lower_grad"]["violations"] < 200
+        assert calculus.total_violations(report) > 0
+
+    def test_bregman_batch_rows_equal_single_pairs(self):
+        xs, ys = box_rng(8).uniform(-4, 4, size=(2, 30, 2))
+        div = calculus.bregman(LOGCOSH, ys, xs)
+        for i in range(30):
+            one = calculus.bregman(LOGCOSH, ys[i], xs[i])
+            assert (div.d_forward[i], div.d_backward[i], div.m_sym[i]) == \
+                (one.d_forward, one.d_backward, one.m_sym)
 
 
 class TestThreePointBound:

@@ -155,6 +155,19 @@ class TestRatesCommand:
                      "--mu-over-l", "0.01", "--kmax", "200"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
 
+    def test_rounding_level_excess_is_strict_json(self, capsys):
+        # apg r=1 exceeds its bound by 1.1e-16; the verdict used to come back
+        # as a numpy bool, which json.dumps rejects
+        assert main(["rates", "--rule", "apg", "--r", "1.0",
+                     "--mu-over-l", "0.0", "--kmax", "1000"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["pass"] is True
+        assert 0.0 < report["max_violation"] <= 1e-12
+
     def test_unknown_rule_exit_2(self):
         assert main(["rates", "--rule", "cubic", "--r", "1.0",
                      "--mu-over-l", "0.0", "--kmax", "5"]) == 2

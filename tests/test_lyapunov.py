@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,52 @@ from lyapopt.lyapunov import (
     verify_pairing,
 )
 from lyapopt.problems import box_rng, make_logcosh, make_quadratic
+
+RADIUS = lyapunov.SAMPLING_RADIUS
+
+
+def reference_strong_check(flow, lyap, samples, seed, f0_level=None):
+    """The per-sample loop: one state drawn and checked at a time."""
+    params, oracle = lyap.strong_params, flow.oracle
+    rng = box_rng(seed)
+    kept = draws = violations = 0
+    min_slack, arg_min = math.inf, None
+    while kept < samples and draws < 200 * samples:
+        x = oracle.x_star + rng.uniform(-RADIUS, RADIUS, size=oracle.dim)
+        v = oracle.x_star + rng.uniform(-RADIUS, RADIUS, size=oracle.dim) if flow.has_v else None
+        gamma = float(rng.uniform(*lyapunov.GAMMA_RANGE)) if flow.has_gamma else None
+        draws += 1
+        if f0_level is not None and oracle.eval_f(x) > f0_level:
+            continue
+        kept += 1
+        st = flows.FlowState(0.0, x, v=v, gamma=gamma)
+        lval = evaluate(lyap, oracle, st)
+        slack = (lyapunov.decay_rate(lyap, flow, st) - params.c(st) * lval ** params.q
+                 - params.p_sq(st))
+        if slack < min_slack:
+            min_slack, arg_min = slack, x.tolist()
+        if not slack >= -lyapunov.SLACK_TOL * (1.0 + abs(lval) ** params.q):
+            violations += 1
+    return {"samples": kept, "draws": draws, "min_slack": min_slack,
+            "violations": violations, "arg_min_x": arg_min}
+
+
+def reference_prox_draws(oracle, samples, seed):
+    """Per-draw log-uniform radius and box draw of the mu = 0 composite check."""
+    rng = box_rng(seed)
+    s = 1.0 / oracle.lip
+    ys, xs, draws = [], [], 0
+    while len(xs) < samples and draws < 200 * samples:
+        radius = 10.0 ** rng.uniform(-2.0, math.log10(RADIUS))
+        w = oracle.x_star + rng.uniform(-radius, radius, size=oracle.dim)
+        draws += 1
+        y = w - s * oracle.grad_h(w)
+        x = oracle.prox_g(y, s)
+        if oracle.eval_f(x) > oracle.f0_level:
+            continue
+        ys.append(y)
+        xs.append(x)
+    return np.array(ys), np.array(xs), draws
 
 QUAD = make_quadratic([1.0, 4.0], [1.0, -2.0])
 
@@ -131,6 +178,73 @@ class TestStrongConditionCheck:
             kept += 1
             gap = o.eval_f(x) - o.f_star
             assert gap <= o.radius_r0 * np.linalg.norm(o.grad_h(x)) + 1e-12
+
+
+class TestBatchedSampling:
+    def test_draws_match_per_sample_uniform_calls(self):
+        model, _ = lyapunov.pairing_hnag()
+        o = model.oracle
+        blocks = list(lyapunov._sample_states(model, 300, 11))
+        x = np.concatenate([st.x for st, _ in blocks])
+        v = np.concatenate([st.v for st, _ in blocks])
+        gamma = np.concatenate([st.gamma for st, _ in blocks])
+        rng = box_rng(11)
+        for i in range(300):
+            assert np.array_equal(x[i], o.x_star + rng.uniform(-RADIUS, RADIUS, size=o.dim))
+            assert np.array_equal(v[i], o.x_star + rng.uniform(-RADIUS, RADIUS, size=o.dim))
+            assert gamma[i] == rng.uniform(*lyapunov.GAMMA_RANGE)
+        assert blocks[-1][1] == 300
+
+    @pytest.mark.parametrize("block_values", [lyapunov._BLOCK_VALUES, 64])
+    def test_log_uniform_radius_draws_match_per_draw_calls(self, block_values, monkeypatch):
+        monkeypatch.setattr(lyapunov, "_BLOCK_VALUES", block_values)
+        o = lyapunov._lasso_convex()
+        blocks = list(lyapunov._sample_prox_points(o, 400, 3))
+        ref_y, ref_x, ref_draws = reference_prox_draws(o, 400, 3)
+        assert blocks[-1][2] == ref_draws > 400
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), ref_y)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), ref_x)
+
+    @pytest.mark.parametrize("block_values", [lyapunov._BLOCK_VALUES, 64])
+    @pytest.mark.parametrize("name", ["hnag", "avd", "gf_convex"])
+    def test_pairing_report_matches_per_sample_loop(self, name, block_values, monkeypatch):
+        # 64 uniforms per block splits the draws over many blocks
+        monkeypatch.setattr(lyapunov, "_BLOCK_VALUES", block_values)
+        model, lyap = getattr(lyapunov, "pairing_" + name)()
+        f0 = model.oracle.f0_level if lyap.domain == "sublevel" else None
+        report = strong_condition_check(model, lyap, 500, 4)
+        ref = reference_strong_check(model, lyap, 500, 4, f0)
+        for key in ("samples", "draws", "min_slack", "violations", "arg_min_x"):
+            assert report[key] == ref[key], key
+
+    def test_inflated_rate_report_matches_per_sample_loop(self):
+        model, lyap = lyapunov.pairing_scaled(c_override=3.0)
+        report = strong_condition_check(model, lyap, 500, 2)
+        ref = reference_strong_check(model, lyap, 500, 2)
+        assert report["violations"] == ref["violations"] > 0
+        assert report["min_slack"] == ref["min_slack"]
+        assert report["arg_min_x"] == ref["arg_min_x"]
+
+
+class TestFailClosed:
+    def test_nan_rate_on_some_states_fails(self):
+        model, lyap = lyapunov.pairing_gd_combined()
+        o = model.oracle
+        # c is NaN on half of the box: those slacks are NaN, not passes
+        params = dataclasses.replace(
+            lyap.strong_params,
+            c=lambda st: np.where(st.x[..., 0] > o.x_star[0], o.mu, np.nan))
+        report = strong_condition_check(
+            model, dataclasses.replace(lyap, strong_params=params), 500, 0)
+        assert not report["pass"]
+        assert 0 < report["violations"] < 500
+        assert np.isfinite(report["min_slack"])
+
+    def test_nan_composite_rate_fails(self):
+        report = lyapunov.composite_condition_check(
+            lyapunov._lasso_sc(), 200, 0, c_override=math.nan)
+        assert not report["pass"]
+        assert report["violations"] == 200
 
 
 class TestSequenceDecay:

@@ -86,6 +86,16 @@ class TestLasso:
         o, a, _, _ = self.make()
         assert o.lip == pytest.approx(np.linalg.eigvalsh(a.T @ a).max(), rel=1e-8)
 
+    @pytest.mark.parametrize("seed, shape", [(11, (15, 8)), (20240708, (8, 20)),
+                                             (20240707, (12, 8))])
+    def test_lip_never_below_top_gram_eigenvalue(self, seed, shape):
+        # a smoothness constant below the true one is on the unsafe side;
+        # power iteration stopped 1.3e-8 low on the (8, 20) instance
+        rng = box_rng(seed)
+        a = rng.standard_normal(shape)
+        o = make_lasso(a, rng.standard_normal(shape[0]), 0.5)
+        assert o.lip >= np.linalg.eigvalsh(a.T @ a).max()
+
     def test_reference_solution_is_stationary(self):
         o, a, b, rho = self.make()
         # optimality: -grad h(x*) is a subgradient of rho |.|_1 at x*
@@ -170,6 +180,47 @@ class TestLogcosh:
         for s in [0.1, 1.0, 25.0]:
             x = o.prox_f(w, s)
             assert np.allclose(x + s * np.tanh(x), w, atol=1e-12)
+
+
+def _lasso_for_batches():
+    rng = box_rng(11)
+    return make_lasso(rng.standard_normal((15, 8)), rng.standard_normal(15), 0.4)
+
+
+class TestBatchedOracles:
+    @pytest.mark.parametrize("oracle", [
+        make_quadratic([1.0, 3.0, 10.0], [0.5, 0.0, -2.0]),
+        _lasso_for_batches(),
+        make_logcosh(2.0, dim=4),
+    ], ids=["quadratic", "lasso", "logcosh"])
+    def test_batch_rows_equal_single_points(self, oracle):
+        xs = box_rng(21).uniform(-3, 3, size=(40, oracle.dim))
+        for name in ("eval_f", "eval_h", "eval_g"):
+            fn = getattr(oracle, name)
+            batch = fn(xs)
+            single = [fn(x) for x in xs]
+            assert isinstance(batch, np.ndarray) and batch.shape == (40,)
+            assert all(type(v) is float for v in single)
+            assert np.array_equal(batch, single), name
+        assert np.array_equal(oracle.grad_h(xs), [oracle.grad_h(x) for x in xs])
+        assert np.array_equal(oracle.prox_g(xs, 0.3), [oracle.prox_g(x, 0.3) for x in xs])
+        if oracle.prox_f is not None:
+            assert np.array_equal(oracle.prox_f(xs, 0.3), [oracle.prox_f(x, 0.3) for x in xs])
+
+    def test_logcosh_value_matches_scalar_formula(self):
+        o = make_logcosh(1.0, dim=50)
+        x = box_rng(4).uniform(-30, 30, size=50)
+        expect = sum(abs(t) + math.log1p(math.exp(-2.0 * abs(t))) for t in x.tolist())
+        assert o.eval_h(x) == pytest.approx(expect, rel=1e-14)
+
+    def test_rowdot_matches_dot_per_row(self):
+        rng = box_rng(5)
+        for dim in (1, 2, 10, 33):
+            a = rng.standard_normal((30, dim))
+            b = rng.standard_normal((30, dim))
+            assert np.array_equal(problems.rowdot(a, b),
+                                  [np.dot(u, w) for u, w in zip(a, b)])
+            assert np.array_equal(problems.rowdot(b[0], a), [np.dot(b[0], u) for u in a])
 
 
 class TestJson:
