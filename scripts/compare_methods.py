@@ -8,14 +8,12 @@ Usage: python scripts/compare_methods.py [--out-dir traces] [--iters 2000]
 """
 
 import argparse
-import csv
-import math
 import os
 
 import numpy as np
 
 from lyapopt.problems import box_rng, make_lasso, make_quadratic
-from lyapopt import solvers
+from lyapopt import harness, solvers
 
 SMOOTH_SOLVERS = ["gd", "ppa", "momentum", "nag", "avd_grad"]
 COMPOSITE_SOLVERS = ["pg", "apg", "new_apg", "apg_fast_grad"]
@@ -26,17 +24,6 @@ def make_problems():
     rng = box_rng(7)
     lasso = make_lasso(rng.standard_normal((50, 100)), rng.standard_normal(50), 0.5)
     return {"quadratic": (quad, SMOOTH_SOLVERS), "lasso": (lasso, COMPOSITE_SOLVERS)}
-
-
-def write_trace(path, records):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "f_gap", "lyapunov", "bound", "slack",
-                        "grad_norm", "alpha", "gamma"])
-        for r in records:
-            writer.writerow(["%.17g" % v if isinstance(v, float) else v
-                             for v in (r.k, r.f_gap, r.lyapunov, r.bound,
-                                       r.slack, r.grad_norm, r.alpha, r.gamma)])
 
 
 def iters_to_ratio(records, target):
@@ -59,8 +46,8 @@ def main():
         x0 = oracle.x_star + 1.0
         for kind in kinds:
             res = solvers.run(oracle, kind, x0, iters=args.iters)
-            write_trace(os.path.join(args.out_dir, f"{pname}_{kind}.csv"),
-                        res.records)
+            harness.write_csv(os.path.join(args.out_dir, f"{pname}_{kind}.csv"),
+                              harness.RUN_HEADER, harness.run_rows(res.records))
             k6 = iters_to_ratio(res.records, 1e-6)
             rows.append((pname, kind, res.certified, res.violations,
                          "-" if k6 is None else k6,

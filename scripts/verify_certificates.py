@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from lyapopt import flows, lyapunov, schedules
+from lyapopt import flows, harness, lyapunov
 from lyapopt.problems import make_quadratic
 
 
@@ -33,14 +33,11 @@ def main():
     for rule in ("nag", "apg", "new_apg", "fast_grad"):
         for r in (0.25, 1.0, 4.0):
             for q in (0.0, 1e-3):
-                _, _, rhos = schedules.iterate_schedule(rule, r, q, 1.0, args.kmax)
-                rate_rule = {"apg": "b0", "new_apg": "b_half"}.get(rule, rule)
-                worst = max(rhos[k] - schedules.rho_bound(rate_rule, r, q, 1.0, k)
-                            for k in range(args.kmax + 1))
-                ok = worst <= 1e-12
+                rep = harness.cmd_rates(rule, r, q, args.kmax)
                 print(f"rate {rule:10s} r={r:<5g} mu/L={q:<6g} "
-                      f"max excess {worst: .3e}  {'PASS' if ok else 'FAIL'}")
-                failed |= not ok
+                      f"max excess {rep['max_violation']: .3e}  "
+                      f"{'PASS' if rep['pass'] else 'FAIL'}")
+                failed |= not rep["pass"]
 
     quad = make_quadratic([1.0, 4.0], [1.0, -2.0])
     checks = [

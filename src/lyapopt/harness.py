@@ -9,7 +9,6 @@ so doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -24,8 +23,6 @@ from .problems import InvalidProblemError, problem_from_json
 
 log = logging.getLogger("lyapopt")
 
-_FMT = "%.17g"
-
 _RUN_KEYS = {"problem", "solver", "iters", "alpha", "variant", "x0", "v0",
              "gamma0", "out", "seed", "stop_grad_tol"}
 
@@ -34,22 +31,44 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    if isinstance(value, float):
-        return _FMT % value
-    return str(value)
+RUN_HEADER = ("k", "f_gap", "lyapunov", "bound", "slack", "grad_norm", "alpha", "gamma")
 
 
-def _write_csv(path, header, rows):
+def _cell_format(key) -> str:
+    # key is the cell's type, or a true bool (v != v) for a NaN cell;
+    # "%.0s" consumes a NaN or None and prints nothing
+    if not isinstance(key, type) or key is type(None):
+        return "%.0s"
+    if issubclass(key, float):
+        return "%.17g"
+    if issubclass(key, int) and not issubclass(key, bool):
+        return "%d"
+    return "%s"
+
+
+def write_csv(path, header, rows):
+    """Write a trace CSV as csv.writer would, one row at a time as rows
+    yields them: floats with 17 significant digits, NaN and None as empty
+    cells, every other value as str(), and \r\n line ends.
+
+    Cells hold numbers and plain strings, so none needs quoting.  Each row
+    is one %-format, built once per pattern of cell types and NaNs.
+    """
+    formats = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            key = tuple([v != v or type(v) for v in row])
+            fmt = formats.get(key)
+            if fmt is None:
+                fmt = formats[key] = ",".join(map(_cell_format, key)) + "\r\n"
+            fh.write(fmt % tuple(row))
+
+
+def run_rows(records):
+    """The trace CSV rows of a solvers.run result, in RUN_HEADER order."""
+    return ((r.k, r.f_gap, r.lyapunov, r.bound, r.slack, r.grad_norm, r.alpha, r.gamma)
+            for r in records)
 
 
 def _setup_logging():
@@ -94,10 +113,7 @@ def cmd_run(config: dict) -> dict:
     )
     out = config.get("out")
     if out:
-        _write_csv(out, ["k", "f_gap", "lyapunov", "bound", "slack",
-                         "grad_norm", "alpha", "gamma"],
-                   [(r.k, r.f_gap, r.lyapunov, r.bound, r.slack,
-                     r.grad_norm, r.alpha, r.gamma) for r in result.records])
+        write_csv(out, RUN_HEADER, run_rows(result.records))
         log.info("trace written to %s", out)
     report = _nag_aware_report(oracle, result)
     log.info("run %s: %s", kind, "PASS" if report["pass"] else "FAIL")
@@ -105,6 +121,9 @@ def cmd_run(config: dict) -> dict:
 
 
 def _nag_aware_report(oracle, result: solvers.RunResult) -> dict:
+    """The run's verdict.  A non-finite value anywhere fails it: the run's
+    own stop (nonfinite_at_k) and a NaN or infinite bound gap alike; such a
+    gap is reported as a null max_bound_violation."""
     max_violation = 0.0
     for rec in result.records:
         if math.isnan(rec.bound):
@@ -112,16 +131,22 @@ def _nag_aware_report(oracle, result: solvers.RunResult) -> dict:
         value = rec.lyapunov
         if result.kind == "nag":
             value -= rec.grad_norm ** 2 / (2.0 * oracle.lip)
-        max_violation = max(max_violation,
-                            value - rec.bound - 1e-9 * (1.0 + abs(rec.bound)))
+        gap = value - rec.bound - 1e-9 * (1.0 + abs(rec.bound))
+        if math.isnan(gap):
+            max_violation = gap
+            break
+        max_violation = max(max_violation, gap)
+    finite = math.isfinite(max_violation)
     return {
         "kind": result.kind,
         "iters": len(result.records) - 1,
         "certified": result.certified,
         "cert_violations": result.violations,
-        "max_bound_violation": max_violation,
+        "max_bound_violation": max_violation if finite else None,
+        "nonfinite_at_k": result.nonfinite_at_k,
         "uncertified": not result.certified,
-        "pass": result.violations == 0 and max_violation <= 0.0,
+        "pass": (result.violations == 0 and result.nonfinite_at_k is None
+                 and finite and max_violation <= 0.0),
     }
 
 
@@ -154,8 +179,7 @@ def cmd_flow(model_name: str, problem_doc: dict, t_end: float, dt: float,
         state0 = flows.FlowState(t=0.0, x=x0, v=v0, gamma=gamma0)
     report = flows.continuous_decay_check(model, lyap, state0, t_end, dt)
     if out:
-        _write_csv(out, ["t", "lyapunov", "bound", "x_norm_err", "gamma"],
-                   report["rows"])
+        write_csv(out, ("t", "lyapunov", "bound", "x_norm_err", "gamma"), report["rows"])
         log.info("trajectory written to %s", out)
     log.info("flow %s: %s", model_name, "PASS" if report["pass"] else "FAIL")
     return report
@@ -193,7 +217,7 @@ def cmd_rates(rule: str, r: float, mu_over_l: float, k_max: int,
             max_slack_violation = max(max_slack_violation, meas - bound)
         rows.append((k, meas, bound))
     if out:
-        _write_csv(out, ["k", "rho_measured", "rho_bound"], rows)
+        write_csv(out, ("k", "rho_measured", "rho_bound"), rows)
         log.info("rate table written to %s", out)
     # the measured factors are numpy floats: cast so the report is plain JSON
     ok = bool(max_slack_violation <= 1e-12)
@@ -235,6 +259,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(report) -> None:
+    # strict JSON: a NaN or Infinity in a report raises instead of printing
+    print(json.dumps(report, indent=2, allow_nan=False))
+
+
 def main(argv=None) -> int:
     try:
         _setup_logging()
@@ -248,7 +277,7 @@ def main(argv=None) -> int:
                     reports = list(pool.map(cmd_run, configs))
             else:
                 reports = [cmd_run(cfg) for cfg in configs]
-            print(json.dumps(reports if len(reports) > 1 else reports[0], indent=2))
+            _print_json(reports if len(reports) > 1 else reports[0])
             return 0 if all(r["pass"] for r in reports) else 1
         if args.command == "flow":
             with open(args.problem) as fh:
@@ -256,18 +285,18 @@ def main(argv=None) -> int:
             try:
                 report = cmd_flow(args.model, problem_doc, args.t_end, args.dt, args.out)
             except flows.DivergenceError as exc:
-                print(json.dumps({"pass": False, "error": str(exc)}, indent=2))
+                _print_json({"pass": False, "error": str(exc)})
                 return 1
             printable = {k: v for k, v in report.items() if k != "rows"}
-            print(json.dumps(printable, indent=2))
+            _print_json(printable)
             return 0 if report["pass"] else 1
         if args.command == "verify-lyapunov":
             report = cmd_verify_lyapunov(args.pairing, args.samples, args.seed,
                                          args.c_override)
-            print(json.dumps(report, indent=2))
+            _print_json(report)
             return 0 if report["pass"] else 1
         report = cmd_rates(args.rule, args.r, args.mu_over_l, args.kmax, args.out)
-        print(json.dumps(report, indent=2))
+        _print_json(report)
         return 0 if report["pass"] else 1
     except (ConfigError, InvalidProblemError, schedules.ScheduleError,
             lyapunov.LyapunovConfigError, solvers.UnsupportedSolverError,

@@ -308,29 +308,28 @@ def make_logcosh(scale: float, dim: int = 1) -> ProblemOracle:
             break
     radius = 0.5 * (lo + hi)
 
-    def _prox_scalar(w, s):
-        # solve x + s tanh(x) = w; the root shares the sign of w and
-        # |x| <= |w|, so Newton is safeguarded by that bracket
-        lo, hi = min(0.0, w), max(0.0, w)
+    def prox_f(w, s):
+        # solve x + s tanh(x) = w per coordinate; the root shares the sign of
+        # w and |x| <= |w|, so Newton is safeguarded by that bracket.  A
+        # coordinate stops moving once its residual meets the tolerance, or
+        # is NaN (w NaN, or s = inf): such a coordinate comes out NaN.
+        w = np.asarray(w, dtype=float)
+        lo, hi = np.minimum(w, 0.0), np.maximum(w, 0.0)
+        tol = 1e-15 * (1.0 + np.abs(w))
         x = w / (1.0 + s)
         for _ in range(100):
-            phi = x + s * math.tanh(x) - w
-            if abs(phi) <= 1e-15 * (1.0 + abs(w)):
+            t = np.tanh(x)
+            phi = x + s * t - w
+            active = np.abs(phi) > tol
+            if not active.any():
                 break
-            if phi > 0:
-                hi = x
-            else:
-                lo = x
-            step = phi / (1.0 + s * (1.0 - math.tanh(x) ** 2))
-            x_new = x - step
-            if not lo < x_new < hi:
-                x_new = 0.5 * (lo + hi)
-            x = x_new
-        return x
-
-    def prox_f(w, s):
-        w = np.asarray(w, dtype=float)
-        return np.array([_prox_scalar(t, s) for t in w.ravel().tolist()]).reshape(w.shape)
+            above = phi > 0
+            hi = np.where(active & above, x, hi)
+            lo = np.where(active & ~above, x, lo)
+            x_new = x - phi / (1.0 + s * (1.0 - t * t))
+            x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+            x = np.where(active, x_new, x)
+        return np.where(np.isnan(phi), np.nan, x)
 
     return ProblemOracle(
         dim=dim,

@@ -39,6 +39,8 @@ class SolverState:
     gamma: Optional[float] = None
     alpha: Optional[float] = None
     aux: dict = field(default_factory=dict)
+    # grad_h(x), once a step or a check has computed it (see _grad)
+    grad: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -59,6 +61,9 @@ class RunResult:
     records: list
     certified: bool
     violations: int
+    # k of the first record whose f_gap, Lyapunov value or grad norm is not
+    # finite; the run stops there and that record is the last
+    nonfinite_at_k: Optional[int] = None
 
 
 def _vec(x) -> np.ndarray:
@@ -67,6 +72,13 @@ def _vec(x) -> np.ndarray:
 
 def _sq(d) -> float:
     return float(np.dot(d, d))
+
+
+def _grad(oracle: ProblemOracle, state: SolverState) -> np.ndarray:
+    """grad_h(state.x), computed on first use and carried by the state."""
+    if state.grad is None:
+        state.grad = oracle.grad_h(state.x)
+    return state.grad
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +93,19 @@ def step_ppa(oracle: ProblemOracle, state: SolverState, alpha: float) -> SolverS
 
 
 def step_gd(oracle: ProblemOracle, state: SolverState, alpha: float) -> SolverState:
-    x_new = state.x - alpha * oracle.grad_h(state.x)
+    x_new = state.x - alpha * _grad(oracle, state)
     return SolverState(k=state.k + 1, x=x_new, alpha=alpha)
 
 
 def step_pg(oracle: ProblemOracle, state: SolverState, alpha: float) -> SolverState:
     """Forward-backward step; records both gradient-mapping residuals."""
     x = state.x
-    y = x - alpha * oracle.grad_h(x)
+    y = x - alpha * _grad(oracle, state)
     x_new = oracle.prox_g(y, alpha)
     d_half = (x - x_new) / alpha
-    d_next = oracle.grad_h(x_new) + (y - x_new) / alpha
-    return SolverState(k=state.k + 1, x=x_new, alpha=alpha,
+    g_new = oracle.grad_h(x_new)
+    d_next = g_new + (y - x_new) / alpha
+    return SolverState(k=state.k + 1, x=x_new, alpha=alpha, grad=g_new,
                        aux={"d_half": d_half, "d_next": d_next})
 
 
@@ -124,7 +137,7 @@ def step_hb_gs(oracle: ProblemOracle, state: SolverState, alpha: float) -> Solve
     x_new = (state.x + alpha * state.v) / (1.0 + alpha)
     g = oracle.grad_h(x_new)
     v_new = (state.v + alpha * x_new - (alpha / oracle.mu) * g) / (1.0 + alpha)
-    return SolverState(k=state.k + 1, x=x_new, v=v_new, alpha=alpha,
+    return SolverState(k=state.k + 1, x=x_new, v=v_new, alpha=alpha, grad=g,
                        aux={"grad_new_sq": _sq(g)})
 
 
@@ -144,7 +157,7 @@ def step_avd(oracle: ProblemOracle, state: SolverState, variant: str,
         v_new = v - (a / sg) * g
         gamma_new = gamma / (1.0 + a * sg)
         return SolverState(k=state.k + 1, x=x_new, v=v_new, gamma=gamma_new, alpha=a,
-                           aux={"grad_new_sq": _sq(g)})
+                           grad=g, aux={"grad_new_sq": _sq(g)})
     a = schedules.avd_alpha(gamma, oracle.lip) if alpha is None else alpha
     y = (x + a * sg * v) / (1.0 + a * sg)
     g = oracle.grad_h(y)
@@ -172,7 +185,7 @@ def step_nag(oracle: ProblemOracle, state: SolverState) -> SolverState:
     v_new = (gamma * state.v + mu * a * x_new) / denom + lip * a * (y_new - x_new) / denom
     gamma_new = denom / (1.0 + a)
     return SolverState(k=state.k + 1, x=x_new, v=v_new, y=y_new,
-                       gamma=gamma_new, alpha=a)
+                       gamma=gamma_new, alpha=a, grad=g)
 
 
 def step_apg(oracle: ProblemOracle, state: SolverState) -> SolverState:
@@ -182,13 +195,14 @@ def step_apg(oracle: ProblemOracle, state: SolverState) -> SolverState:
     s = 1.0 / (lip * (1.0 + a))
     x_new = oracle.prox_g(w, s)
     q_next = (w - x_new) / s
-    y_new = x_new - oracle.grad_h(x_new) / lip
+    g_new = oracle.grad_h(x_new)
+    y_new = x_new - g_new / lip
     v_new = x_new + (y_new - state.y) / (a + mu / lip)
     a_new = math.sqrt((a * a + a * mu / lip) / (1.0 + a))
     return SolverState(k=state.k + 1, x=x_new, v=v_new, y=y_new,
-                       gamma=lip * a_new * a_new, alpha=a_new,
+                       gamma=lip * a_new * a_new, alpha=a_new, grad=g_new,
                        aux={"step_alpha": a,
-                            "resid_sq": _sq(oracle.grad_h(state.x) + q_next)})
+                            "resid_sq": _sq(_grad(oracle, state) + q_next)})
 
 
 def step_apg_fast_grad(oracle: ProblemOracle, state: SolverState) -> SolverState:
@@ -196,16 +210,18 @@ def step_apg_fast_grad(oracle: ProblemOracle, state: SolverState) -> SolverState
     gamma = state.gamma
     a = math.sqrt(gamma / (4.0 * lip))
     beta = 1.0 / (2.0 * lip * a)
-    y = state.x - a * beta * oracle.grad_h(state.x)
+    y = state.x - a * beta * _grad(oracle, state)
     w = (y + a * state.v) / (1.0 + a)
     s = a * beta / (1.0 + a)
     x_new = oracle.prox_g(w, s)
     q_next = (w - x_new) / s
-    d_next = oracle.grad_h(x_new) + q_next
+    g_new = oracle.grad_h(x_new)
+    d_next = g_new + q_next
     v_new = (gamma * state.v + mu * a * x_new - a * d_next) / (gamma + mu * a)
     gamma_new = (gamma + mu * a) / (1.0 + a)
     key_id = a * a * beta * beta * lip / 2.0 + a * a / (2.0 * gamma) - a * beta
     return SolverState(k=state.k + 1, x=x_new, v=v_new, gamma=gamma_new, alpha=a,
+                       grad=g_new,
                        aux={"d_next_sq": _sq(d_next),
                             "key_identity_err": abs(key_id + 1.0 / (4.0 * lip))})
 
@@ -256,9 +272,10 @@ def _gap(oracle: ProblemOracle, x) -> float:
     return oracle.eval_f(x) - oracle.f_star
 
 
-def lyapunov_value(oracle: ProblemOracle, kind: str, state: SolverState) -> float:
+def lyapunov_value(oracle: ProblemOracle, kind: str, state: SolverState,
+                   gap: float) -> float:
+    """The method's Lyapunov value at state, given gap = f(state.x) - f*."""
     x = state.x
-    gap = _gap(oracle, x)
     if kind in ("ppa", "gd"):
         return gap + 0.5 * oracle.mu * _sq(x - oracle.x_star)
     if kind == "pg":
@@ -272,13 +289,14 @@ def lyapunov_value(oracle: ProblemOracle, kind: str, state: SolverState) -> floa
 
 
 def _grad_norm(oracle: ProblemOracle, state: SolverState) -> float:
+    # math.sqrt(_sq(g)) is what np.linalg.norm computes for a vector
     if "d_next" in state.aux:
-        return float(np.linalg.norm(state.aux["d_next"]))
+        return math.sqrt(_sq(state.aux["d_next"]))
     if "d_next_sq" in state.aux:
         return math.sqrt(state.aux["d_next_sq"])
     if "d_f" in state.aux:
-        return float(np.linalg.norm(state.aux["d_f"]))
-    return float(np.linalg.norm(oracle.grad_h(state.x)))
+        return math.sqrt(_sq(state.aux["d_f"]))
+    return math.sqrt(_sq(_grad(oracle, state)))
 
 
 def cert_slack(oracle: ProblemOracle, kind: str, old: SolverState,
@@ -308,8 +326,8 @@ def cert_slack(oracle: ProblemOracle, kind: str, old: SolverState,
         contraction = new.aux["contraction"]
         return contraction * l_old - l_new
     if kind == "nag":
-        gsq_old = _sq(oracle.grad_h(old.x))
-        gsq_new = _sq(oracle.grad_h(new.x))
+        gsq_old = _sq(_grad(oracle, old))
+        gsq_new = _sq(_grad(oracle, new))
         m_old = l_old - gsq_old / (2.0 * lip)
         m_new = l_new - gsq_new / (2.0 * lip)
         return m_old / (1.0 + a) - m_new
@@ -384,13 +402,11 @@ def init_state(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None) -> So
         return SolverState(k=0, x=x0, v=v0)
     if kind in ("avd_gs", "avd_grad", "avd_extrap"):
         return SolverState(k=0, x=x0, v=v0, gamma=gamma0)
-    if kind == "nag":
-        y0 = x0 - oracle.grad_h(x0) / oracle.lip
-        return SolverState(k=0, x=x0, v=v0, y=y0, gamma=gamma0)
-    if kind == "apg":
-        a0 = math.sqrt(gamma0 / oracle.lip)
-        y0 = x0 - oracle.grad_h(x0) / oracle.lip
-        return SolverState(k=0, x=x0, v=v0, y=y0, gamma=gamma0, alpha=a0)
+    if kind in ("nag", "apg"):
+        g0 = oracle.grad_h(x0)
+        y0 = x0 - g0 / oracle.lip
+        a0 = math.sqrt(gamma0 / oracle.lip) if kind == "apg" else None
+        return SolverState(k=0, x=x0, v=v0, y=y0, gamma=gamma0, alpha=a0, grad=g0)
     if kind in ("apg_fast_grad", "new_apg"):
         return SolverState(k=0, x=x0, v=v0, gamma=gamma0)
     raise UnsupportedSolverError(f"unknown solver kind: {kind!r}")
@@ -424,10 +440,18 @@ def _advance(oracle: ProblemOracle, kind: str, state: SolverState,
     raise UnsupportedSolverError(f"unknown solver kind: {kind!r}")
 
 
+def _finite(gap: float, lyap: float, gnorm: float) -> bool:
+    return math.isfinite(gap) and math.isfinite(lyap) and math.isfinite(gnorm)
+
+
 def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
         iters: int = 100, alpha: Optional[float] = None,
         variant: str = "sqrt", stop_grad_tol: Optional[float] = None) -> RunResult:
-    """Run a solver and record the Lyapunov trace with certificate slacks."""
+    """Run a solver and record the Lyapunov trace with certificate slacks.
+
+    The run stops at the first record whose f_gap, Lyapunov value or grad
+    norm is not finite, and reports its k as nonfinite_at_k.
+    """
     if kind not in SOLVER_KINDS:
         raise UnsupportedSolverError(f"unknown solver kind: {kind!r}")
     state = init_state(oracle, kind, x0, v0, gamma0)
@@ -439,22 +463,26 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
             alpha = 1.0 / oracle.lip
         else:
             alpha = 1.0
-    l0 = lyapunov_value(oracle, kind, state)
+    gap = _gap(oracle, state.x)
+    l0 = lyapunov_value(oracle, kind, state, gap)
     # the nag rate bound applies to the gradient-corrected quantity, not plain L
-    l0_bound = l0 - _sq(oracle.grad_h(state.x)) / (2.0 * oracle.lip) \
+    l0_bound = l0 - _sq(_grad(oracle, state)) / (2.0 * oracle.lip) \
         if kind == "nag" else l0
     rho = 1.0
     certified = True
     violations = 0
+    gnorm = _grad_norm(oracle, state)
     records = [TraceRecord(
-        k=0, f_gap=_gap(oracle, state.x), lyapunov=l0,
+        k=0, f_gap=gap, lyapunov=l0,
         bound=_rate_bound(oracle, kind, gamma0_val, alpha, 0, 1.0, l0_bound),
-        slack=math.nan, grad_norm=_grad_norm(oracle, state),
+        slack=math.nan, grad_norm=gnorm,
         alpha=math.nan, gamma=state.gamma if state.gamma is not None else math.nan)]
+    nonfinite_at_k = None if _finite(gap, l0, gnorm) else 0
     l_cur = l0
-    for _ in range(iters):
+    for _ in range(iters if nonfinite_at_k is None else 0):
         new = _advance(oracle, kind, state, alpha, variant)
-        l_new = lyapunov_value(oracle, kind, new)
+        gap = _gap(oracle, new.x)
+        l_new = lyapunov_value(oracle, kind, new, gap)
         if kind in ("avd_grad", "avd_extrap"):
             rho *= new.aux["contraction"]
         elif new.alpha is not None:
@@ -467,17 +495,21 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
                 slack = info_slack(oracle, kind, state, new, l_cur, l_new)
             else:
                 slack = math.nan
-        elif slack < -CERT_TOL * (1.0 + abs(l_cur)):
+        elif not slack >= -CERT_TOL * (1.0 + abs(l_cur)):
             violations += 1
         gnorm = _grad_norm(oracle, new)
         records.append(TraceRecord(
-            k=new.k, f_gap=_gap(oracle, new.x), lyapunov=l_new,
+            k=new.k, f_gap=gap, lyapunov=l_new,
             bound=_rate_bound(oracle, kind, gamma0_val, alpha, new.k, rho, l0_bound),
             slack=slack, grad_norm=gnorm,
             alpha=new.alpha if new.alpha is not None else math.nan,
             gamma=new.gamma if new.gamma is not None else math.nan))
+        if not _finite(gap, l_new, gnorm):
+            nonfinite_at_k = new.k
+            break
         state, l_cur = new, l_new
         if stop_grad_tol is not None and gnorm < stop_grad_tol:
             break
     return RunResult(kind=kind, records=records, certified=certified,
-                     violations=violations)
+                     violations=violations, nonfinite_at_k=nonfinite_at_k)
+

@@ -1,11 +1,13 @@
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from lyapopt import harness
+from lyapopt import flows, harness, lyapunov, solvers
+from lyapopt.problems import make_quadratic
 from lyapopt.harness import ConfigError, main
 
 
@@ -188,3 +190,108 @@ class TestLogging:
         monkeypatch.setenv("OPT_LOG_LEVEL", "quiet")
         assert main(["rates", "--rule", "b0", "--r", "1.0",
                      "--mu-over-l", "0.0", "--kmax", "5"]) == 0
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestRunFailsClosed:
+    """Each config below reported "pass": true and exited 0 before the run
+    loop stopped at non-finite values."""
+
+    def run_main(self, tmp_path, capsys, cfg):
+        out = str(tmp_path / "trace.csv")
+        cfg = dict(cfg, out=out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", write_json(tmp_path / "cfg.json", cfg)])
+        report = strict_json(capsys.readouterr().out)
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        return code, report, rows
+
+    def test_nan_start_point(self, tmp_path, capsys):
+        cfg = {"problem": QUAD_PROBLEM, "solver": "gd", "iters": 50, "x0": [math.nan, 1.0]}
+        code, report, rows = self.run_main(tmp_path, capsys, cfg)
+        assert code == 1 and report["pass"] is False
+        assert report["nonfinite_at_k"] == 0 and len(rows) == 2
+
+    def test_diverging_heavy_ball(self, tmp_path, capsys):
+        cfg = {"problem": {"kind": "quadratic", "eigs": [1e-3, 1.0], "b": [0.0, 0.0]},
+               "solver": "hb_gs", "alpha": 1.0, "iters": 300, "x0": [1.0, 1.0]}
+        code, report, rows = self.run_main(tmp_path, capsys, cfg)
+        assert code == 1 and report["pass"] is False
+        k = report["nonfinite_at_k"]
+        assert 0 < k < 300 and int(rows[-1][0]) == k and report["iters"] == k
+
+    def test_overflowing_start_point(self, tmp_path, capsys):
+        cfg = {"problem": QUAD_PROBLEM, "solver": "gd", "iters": 50, "x0": [1e308, 1e308]}
+        code, report, _ = self.run_main(tmp_path, capsys, cfg)
+        assert code == 1 and report["pass"] is False
+        assert report["nonfinite_at_k"] == 0
+
+    def test_finite_run_reports_null(self, tmp_path, capsys):
+        code, report, _ = self.run_main(tmp_path, capsys, gd_config())
+        assert code == 0 and report["nonfinite_at_k"] is None
+
+    def test_nan_bound_gap_fails(self):
+        oracle = make_quadratic([1.0, 4.0], [1.0, -2.0])
+        records = [solvers.TraceRecord(k, 1.0, value, 2.0, 0.0, 1.0, 0.5, math.nan)
+                   for k, value in enumerate([1.0, math.nan, 0.5])]
+        report = harness._nag_aware_report(
+            oracle, solvers.RunResult("gd", records, certified=True, violations=0))
+        assert report["pass"] is False and report["max_bound_violation"] is None
+        json.dumps(report, allow_nan=False)
+
+
+def csv_reference(header, rows) -> bytes:
+    """What csv.writer writes for rows with floats at 17 digits and NaN and
+    None as empty cells."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None or (isinstance(v, float) and math.isnan(v))
+                         else "%.17g" % v if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode()
+
+
+class TestTraceWriter:
+    def check(self, tmp_path, header, rows):
+        path = tmp_path / "t.csv"
+        harness.write_csv(path, header, iter(rows))
+        assert path.read_bytes() == csv_reference(header, rows)
+
+    def test_run_rows(self, tmp_path):
+        quad = make_quadratic([1.0, 4.0], [1.0, -2.0])
+        for kind in ("gd", "nag", "hb_gs"):
+            alpha = 0.5 if kind == "hb_gs" else None
+            res = solvers.run(quad, kind, [4.0, -3.0], iters=40, alpha=alpha)
+            rows = list(harness.run_rows(res.records))
+            assert any(math.isnan(v) for row in rows for v in row)
+            self.check(tmp_path, harness.RUN_HEADER, rows)
+        self.check(tmp_path, harness.RUN_HEADER,
+                   [(0, math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 5e-324),
+                    (1, np.float64(0.1), np.float64(math.nan), 1.0, 2, None, "", 3.5)])
+
+    def test_flow_rows(self, tmp_path):
+        # the gradient flow carries no gamma: its gamma cells are empty strings
+        for pairing in (lyapunov.pairing_scaled, lyapunov.pairing_gd_combined):
+            model, lyap = pairing(make_quadratic([1.0, 4.0], [1.0, -2.0]))
+            state0 = flows.FlowState(0.0, np.array([4.0, -3.0]),
+                                     gamma=4.0 if model.has_gamma else None)
+            rows = flows.continuous_decay_check(model, lyap, state0, 0.5, 0.01)["rows"]
+            assert isinstance(rows[0][-1], float) == model.has_gamma
+            self.check(tmp_path, ("t", "lyapunov", "bound", "x_norm_err", "gamma"), rows)
+
+    def test_rates_rows(self, tmp_path, capsys):
+        for rule in ("nag", "b0"):
+            out = tmp_path / f"{rule}.csv"
+            assert main(["rates", "--rule", rule, "--r", "1.0", "--mu-over-l", "0.01",
+                         "--kmax", "30", "--out", str(out)]) == 0
+            _, _, rhos = harness.schedules.iterate_schedule("nag", 1.0, 0.01, 1.0, 30)
+            rows = [(k, rhos[k] if rule == "nag" else math.nan,
+                     harness.schedules.rho_bound(rule, 1.0, 0.01, 1.0, k)) for k in range(31)]
+            assert out.read_bytes() == csv_reference(("k", "rho_measured", "rho_bound"), rows)

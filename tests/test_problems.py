@@ -182,6 +182,73 @@ class TestLogcosh:
             assert np.allclose(x + s * np.tanh(x), w, atol=1e-12)
 
 
+def prox_loop(w: float, s: float, tanh) -> float:
+    """The per-coordinate safeguarded Newton loop the logcosh prox_f ran
+    before it was vectorized, with the tanh it uses as a parameter."""
+    lo, hi = min(0.0, w), max(0.0, w)
+    x = w / (1.0 + s)
+    for _ in range(100):
+        phi = x + s * tanh(x) - w
+        if abs(phi) <= 1e-15 * (1.0 + abs(w)):
+            break
+        if phi > 0:
+            hi = x
+        else:
+            lo = x
+        step = phi / (1.0 + s * (1.0 - tanh(x) ** 2))
+        x_new = x - step
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        x = x_new
+    return x
+
+
+class TestLogcoshProx:
+    """|w| <= 1e3 and s over 1e-3..1e6, the step range scaled_ppa reaches."""
+
+    STEPS = np.geomspace(1e-3, 1e6, 28).tolist()
+
+    def cases(self):
+        rng = box_rng(8)
+        oracle = make_logcosh(1.0, dim=60)
+        for s in self.STEPS:
+            for scale in (1e-3, 1.0, 30.0, 1e3):
+                yield oracle, rng.uniform(-scale, scale, 60), s
+
+    def test_equals_scalar_loop_with_numpy_tanh(self):
+        for oracle, w, s in self.cases():
+            x = oracle.prox_f(w, s)
+            ref = [prox_loop(t, s, lambda v: float(np.tanh(v))) for t in w.tolist()]
+            assert np.array_equal(x, ref), s
+
+    def test_residual_within_tolerance(self):
+        for oracle, w, s in self.cases():
+            x = oracle.prox_f(w, s)
+            assert np.all(np.abs(x + s * np.tanh(x) - w) <= 1e-15 * (1.0 + np.abs(w))), s
+
+    def test_matches_libm_loop_to_root_tolerance(self):
+        # math.tanh and np.tanh differ by an ulp on some inputs, so the two
+        # loops stop at different points inside the residual tolerance: the
+        # points agree to twice the tolerance over phi' = 1 + s sech^2 x
+        for oracle, w, s in self.cases():
+            x = oracle.prox_f(w, s)
+            ref = np.array([prox_loop(t, s, math.tanh) for t in w.tolist()])
+            slope = 1.0 + s * (1.0 - np.tanh(ref) ** 2)
+            assert np.all(np.abs(x - ref) * slope <= 2e-15 * (1.0 + np.abs(w))), s
+
+    def test_zero_and_nan(self):
+        oracle = make_logcosh(1.0, dim=3)
+        x = oracle.prox_f(np.array([0.0, -0.0, math.nan]), 2.0)
+        assert x[0] == 0.0 and x[1] == 0.0 and math.isnan(x[2])
+
+    def test_infinite_step_gives_nan(self):
+        # s = inf makes the residual NaN (inf * tanh(0)); the loop this
+        # replaced bisected on it for 100 steps and returned w or 0
+        oracle = make_logcosh(1.0, dim=3)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(oracle.prox_f(np.array([2.0, -1.0, 0.5]), math.inf)).all()
+
+
 def _lasso_for_batches():
     rng = box_rng(11)
     return make_lasso(rng.standard_normal((15, 8)), rng.standard_normal(15), 0.4)

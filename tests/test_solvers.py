@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -310,3 +312,84 @@ class TestRatesAndRunLoop:
     def test_unknown_kind_rejected(self):
         with pytest.raises(UnsupportedSolverError):
             run(QUAD, "conjugate_gradient", [1.0, 1.0])
+
+
+def counting(oracle):
+    """oracle with grad_h and eval_f wrapped to count their calls."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(oracle, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(oracle, grad_h=counted("grad_h"),
+                               eval_f=counted("eval_f")), calls
+
+
+TWO_GRAD_KINDS = ("momentum", "avd_grad", "avd_extrap")
+COMPOSITE_KINDS = ("pg", "apg", "new_apg", "apg_fast_grad")
+
+
+class TestOracleCallsPerIteration:
+    """Each iteration evaluates f once (the gap serves the Lyapunov value
+    and the record) and grad_h once per point the method visits: a second
+    time only where the step's gradient is taken off the new iterate."""
+
+    def per_iter(self, oracle, kind):
+        calls = []
+        for iters in (10, 30):
+            counted, count = counting(oracle)
+            res = run(counted, kind, oracle.x_star + 2.0, iters=iters)
+            assert res.nonfinite_at_k is None and len(res.records) == iters + 1
+            calls.append(count)
+        return {name: (calls[1][name] - calls[0][name]) / 20 for name in ("grad_h", "eval_f")}
+
+    @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
+    def test_quadratic(self, kind):
+        grads = 2 if kind in TWO_GRAD_KINDS else 1
+        assert self.per_iter(QUAD, kind) == {"grad_h": grads, "eval_f": 1}
+
+    @pytest.mark.parametrize("kind", COMPOSITE_KINDS)
+    @pytest.mark.parametrize("oracle", [sc_lasso(), convex_lasso()], ids=["sc", "convex"])
+    def test_lasso(self, kind, oracle):
+        assert self.per_iter(oracle, kind) == {"grad_h": 1, "eval_f": 1}
+
+    @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
+    def test_carried_gradient_is_grad_at_x(self, kind):
+        oracle = convex_lasso() if kind in COMPOSITE_KINDS else QUAD
+        alpha = 1.0 / oracle.lip if kind in ("gd", "pg") else \
+            1.0 if kind in ("ppa", "scaled_ppa", "hb_gs", "avd_gs") else None
+        state = init_state(oracle, kind, oracle.x_star + 2.0)
+        for _ in range(5):
+            state = solvers._advance(oracle, kind, state, alpha, "sqrt")
+            if state.grad is not None:
+                assert np.array_equal(state.grad, oracle.grad_h(state.x))
+
+
+class TestFailClosed:
+    def test_nan_start_stops_at_k0(self):
+        res = run(QUAD, "gd", [math.nan, 1.0], iters=20)
+        assert res.nonfinite_at_k == 0 and len(res.records) == 1
+
+    def test_divergence_stops_at_first_nonfinite_record(self):
+        o = make_quadratic([1e-3, 1.0], [0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(o, "hb_gs", [1.0, 1.0], iters=300, alpha=1.0)
+        k = res.nonfinite_at_k
+        assert k is not None and res.records[-1].k == k
+        last = res.records[-1]
+        assert not all(map(math.isfinite, (last.f_gap, last.lyapunov, last.grad_norm)))
+        for rec in res.records[:-1]:
+            assert all(map(math.isfinite, (rec.f_gap, rec.lyapunov, rec.grad_norm)))
+
+    def test_finite_run_has_no_nonfinite_k(self):
+        assert run(QUAD, "nag", [4.0, -3.0], iters=50).nonfinite_at_k is None
+
+    def test_nan_slack_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(solvers, "cert_slack", lambda *args: math.nan)
+        res = run(QUAD, "gd", [4.0, -3.0], iters=7)
+        assert res.certified and res.violations == 7
