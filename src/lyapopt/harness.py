@@ -259,9 +259,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite_or_null(value):
+    """value with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _print_json(report) -> None:
-    # strict JSON: a NaN or Infinity in a report raises instead of printing
-    print(json.dumps(report, indent=2, allow_nan=False))
+    # strict JSON: a value with no finite number (a min over NaN slacks,
+    # say) prints as null; the verdict in "pass" is computed before this
+    print(json.dumps(_finite_or_null(report), indent=2, allow_nan=False))
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,6 @@ bounds, implemented here per rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +20,6 @@ class ScheduleError(ValueError):
 
 class UnsupportedParameterError(ScheduleError):
     """Parameter range not covered by any closed-form bound (B in (0, 1/2))."""
-
-
-@dataclass
-class ScheduleState:
-    k: int
-    gamma: float
-    alpha: float
-    rho: float
-    t_scaled: float
-    beta: float = 0.0
 
 
 def gamma_step(gamma_k: float, alpha_k: float, mu: float) -> float:

@@ -134,6 +134,12 @@ class TestVerifyCommand:
         assert code == 1
         assert not json.loads(capsys.readouterr().out)["pass"]
 
+    def test_nan_rate_fails_with_strict_json(self, capsys):
+        code = main(["verify-lyapunov", "--pairing", "hb", "--samples", "100",
+                     "--seed", "0", "--c-override", "nan"])
+        report = strict_json(capsys.readouterr().out)
+        assert code == 1 and report["pass"] is False and report["min_slack"] is None
+
     def test_unknown_pairing_exit_2(self):
         assert main(["verify-lyapunov", "--pairing", "mystery"]) == 2
 
@@ -199,8 +205,8 @@ def strict_json(text):
 
 
 class TestRunFailsClosed:
-    """Each config below reported "pass": true and exited 0 before the run
-    loop stopped at non-finite values."""
+    """Runs that reach a NaN or Inf value; each config once reported
+    "pass": true and exited 0."""
 
     def run_main(self, tmp_path, capsys, cfg):
         out = str(tmp_path / "trace.csv")

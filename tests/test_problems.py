@@ -183,8 +183,8 @@ class TestLogcosh:
 
 
 def prox_loop(w: float, s: float, tanh) -> float:
-    """The per-coordinate safeguarded Newton loop the logcosh prox_f ran
-    before it was vectorized, with the tanh it uses as a parameter."""
+    """Reference: the safeguarded Newton loop of the logcosh prox_f on one
+    coordinate, with the tanh it uses as a parameter."""
     lo, hi = min(0.0, w), max(0.0, w)
     x = w / (1.0 + s)
     for _ in range(100):
@@ -242,8 +242,8 @@ class TestLogcoshProx:
         assert x[0] == 0.0 and x[1] == 0.0 and math.isnan(x[2])
 
     def test_infinite_step_gives_nan(self):
-        # s = inf makes the residual NaN (inf * tanh(0)); the loop this
-        # replaced bisected on it for 100 steps and returned w or 0
+        # s = inf makes the residual NaN (inf * tanh(0)): there is no root to
+        # report, and a finite value would let a run carry on from garbage
         oracle = make_logcosh(1.0, dim=3)
         with np.errstate(invalid="ignore"):
             assert np.isnan(oracle.prox_f(np.array([2.0, -1.0, 0.5]), math.inf)).all()
