@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -115,12 +114,12 @@ def cmd_run(config: dict) -> dict:
     if out:
         write_csv(out, RUN_HEADER, run_rows(result.records))
         log.info("trace written to %s", out)
-    report = _nag_aware_report(oracle, result)
+    report = _run_report(result)
     log.info("run %s: %s", kind, "PASS" if report["pass"] else "FAIL")
     return report
 
 
-def _nag_aware_report(oracle, result: solvers.RunResult) -> dict:
+def _run_report(result: solvers.RunResult) -> dict:
     """The run's verdict.  A non-finite value anywhere fails it: the run's
     own stop (nonfinite_at_k) and a NaN or infinite bound gap alike; such a
     gap is reported as a null max_bound_violation."""
@@ -128,10 +127,7 @@ def _nag_aware_report(oracle, result: solvers.RunResult) -> dict:
     for rec in result.records:
         if math.isnan(rec.bound):
             continue
-        value = rec.lyapunov
-        if result.kind == "nag":
-            value -= rec.grad_norm ** 2 / (2.0 * oracle.lip)
-        gap = value - rec.bound - 1e-9 * (1.0 + abs(rec.bound))
+        gap = rec.bounded - rec.bound - 1e-9 * (1.0 + abs(rec.bound))
         if math.isnan(gap):
             max_violation = gap
             break
@@ -206,24 +202,28 @@ def cmd_rates(rule: str, r: float, mu_over_l: float, k_max: int,
     mu = mu_over_l * lip
     rows = []
     max_slack_violation = 0.0
+    # a NaN or infinite cell fails the table (max() would drop a NaN excess)
+    finite = True
     measured = None
     if rule in schedules.STEP_RULES:
-        _, _, rhos = schedules.iterate_schedule(rule, gamma0, mu, lip, k_max)
-        measured = rhos
+        _, _, measured = schedules.iterate_schedule(rule, gamma0, mu, lip, k_max)
     for k in range(k_max + 1):
         bound = schedules.rho_bound(rule, gamma0, mu, lip, k)
-        meas = measured[k] if measured is not None else math.nan
+        finite = finite and math.isfinite(bound)
+        meas = math.nan
         if measured is not None:
+            meas = measured[k]
+            finite = finite and math.isfinite(meas)
             max_slack_violation = max(max_slack_violation, meas - bound)
         rows.append((k, meas, bound))
     if out:
         write_csv(out, ("k", "rho_measured", "rho_bound"), rows)
         log.info("rate table written to %s", out)
     # the measured factors are numpy floats: cast so the report is plain JSON
-    ok = bool(max_slack_violation <= 1e-12)
+    ok = finite and bool(max_slack_violation <= 1e-12)
     log.info("rates %s: %s", rule, "PASS" if ok else "FAIL")
     return {"rule": rule, "k_max": k_max, "pass": ok,
-            "max_violation": float(max_slack_violation)}
+            "max_violation": float(max_slack_violation) if finite else None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -235,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a solver config and check its bound")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out")
-    p_run.add_argument("--jobs", type=int, default=1)
 
     p_flow = sub.add_parser("flow", help="integrate a flow and check decay")
     p_flow.add_argument("--model", required=True)
@@ -284,11 +283,7 @@ def main(argv=None) -> int:
             configs = _load_config(args.config)
             if args.out and len(configs) == 1 and "out" not in configs[0]:
                 configs[0]["out"] = args.out
-            if args.jobs > 1 and len(configs) > 1:
-                with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    reports = list(pool.map(cmd_run, configs))
-            else:
-                reports = [cmd_run(cfg) for cfg in configs]
+            reports = [cmd_run(cfg) for cfg in configs]
             _print_json(reports if len(reports) > 1 else reports[0])
             return 0 if all(r["pass"] for r in reports) else 1
         if args.command == "flow":

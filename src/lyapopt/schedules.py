@@ -135,6 +135,9 @@ def rho_bound(rule: str, gamma0: float, mu: float, lip: float, k: int) -> float:
         raise ScheduleError("accelerated bounds require gamma0 >= mu")
     r = gamma0 / lip
     q = mu / lip
+    if math.isnan(r) or math.isnan(q):
+        # min() below would drop a NaN term and return a finite bound
+        return math.nan
     if rule in ("b0", "apg"):
         return min(_sublinear_b0(r, k), _linear(q, k))
     if rule in ("b_half", "new_apg"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,11 +20,6 @@ from . import schedules
 from .problems import ProblemOracle
 
 CERT_TOL = 1e-9
-
-SOLVER_KINDS = ("ppa", "gd", "pg", "scaled_ppa", "hb_gs", "momentum",
-                "avd_gs", "avd_grad", "avd_extrap", "nag", "apg",
-                "apg_fast_grad", "new_apg")
-
 
 class UnsupportedSolverError(ValueError):
     """Solver/problem pair outside the method's assumptions."""
@@ -53,6 +48,9 @@ class TraceRecord:
     grad_norm: float
     alpha: float
     gamma: float
+    # what the certificate and the rate bound apply to: the Lyapunov value,
+    # or nag's gradient-corrected one
+    bounded: float
 
 
 @dataclass
@@ -115,8 +113,7 @@ def step_scaled_ppa(oracle: ProblemOracle, state: SolverState, alpha: float) -> 
     t = alpha / state.gamma
     x_new = oracle.prox_f(state.x, t)
     gamma_new = schedules.gamma_step(state.gamma, alpha, oracle.mu)
-    return SolverState(k=state.k + 1, x=x_new, gamma=gamma_new, alpha=alpha,
-                       aux={"t_scaled": t})
+    return SolverState(k=state.k + 1, x=x_new, gamma=gamma_new, alpha=alpha)
 
 
 def step_momentum(oracle: ProblemOracle, state: SolverState, alpha: float) -> SolverState:
@@ -127,8 +124,7 @@ def step_momentum(oracle: ProblemOracle, state: SolverState, alpha: float) -> So
     g = oracle.grad_h(y)
     v_new = (v + alpha * y - (alpha / oracle.mu) * g) / (1.0 + alpha)
     x_new = y - g / oracle.lip
-    return SolverState(k=state.k + 1, x=x_new, v=v_new, y=y, alpha=alpha,
-                       aux={"grad_y_sq": _sq(g)})
+    return SolverState(k=state.k + 1, x=x_new, v=v_new, y=y, alpha=alpha)
 
 
 def step_hb_gs(oracle: ProblemOracle, state: SolverState, alpha: float) -> SolverState:
@@ -137,8 +133,7 @@ def step_hb_gs(oracle: ProblemOracle, state: SolverState, alpha: float) -> Solve
     x_new = (state.x + alpha * state.v) / (1.0 + alpha)
     g = oracle.grad_h(x_new)
     v_new = (state.v + alpha * x_new - (alpha / oracle.mu) * g) / (1.0 + alpha)
-    return SolverState(k=state.k + 1, x=x_new, v=v_new, alpha=alpha, grad=g,
-                       aux={"grad_new_sq": _sq(g)})
+    return SolverState(k=state.k + 1, x=x_new, v=v_new, alpha=alpha, grad=g)
 
 
 def step_avd(oracle: ProblemOracle, state: SolverState, variant: str,
@@ -148,27 +143,22 @@ def step_avd(oracle: ProblemOracle, state: SolverState, variant: str,
     with the fresh v (identical x-iterates to grad under the step rule)."""
     x, v, gamma = state.x, state.v, state.gamma
     sg = math.sqrt(gamma)
-    if variant == "gs":
-        if alpha is None:
-            raise UnsupportedSolverError("avd gs variant needs an explicit alpha")
-        a = alpha
-        x_new = (x + a * sg * v) / (1.0 + a * sg)
-        g = oracle.grad_h(x_new)
-        v_new = v - (a / sg) * g
-        gamma_new = gamma / (1.0 + a * sg)
-        return SolverState(k=state.k + 1, x=x_new, v=v_new, gamma=gamma_new, alpha=a,
-                           grad=g, aux={"grad_new_sq": _sq(g)})
+    if alpha is None and variant == "gs":
+        raise UnsupportedSolverError("avd gs variant needs an explicit alpha")
     a = schedules.avd_alpha(gamma, oracle.lip) if alpha is None else alpha
     y = (x + a * sg * v) / (1.0 + a * sg)
     g = oracle.grad_h(y)
     v_new = v - (a / sg) * g
+    gamma_new = gamma / (1.0 + a * sg)
+    if variant == "gs":
+        # the sweep's new x is y itself, so the gradient is taken at x
+        return SolverState(k=state.k + 1, x=y, v=v_new, gamma=gamma_new, alpha=a, grad=g)
     if variant == "grad":
         x_new = y - g / oracle.lip
     elif variant == "extrap":
         x_new = (x + a * sg * v_new) / (1.0 + a * sg)
     else:
         raise UnsupportedSolverError(f"unknown avd variant: {variant!r}")
-    gamma_new = gamma / (1.0 + a * sg)
     return SolverState(k=state.k + 1, x=x_new, v=v_new, y=y, gamma=gamma_new, alpha=a,
                        aux={"contraction": 1.0 / (1.0 + a * sg)})
 
@@ -265,179 +255,223 @@ def momentum_two_sequence(oracle: ProblemOracle, x0, v0, variant: str, iters: in
 
 
 # ---------------------------------------------------------------------------
-# Lyapunov pairings and certificates.
+# The method table: one record per kind with the parts of the unified
+# analysis (step, Lyapunov function, per-step inequality, rate bound).
 # ---------------------------------------------------------------------------
 
-def _gap(oracle: ProblemOracle, x) -> float:
-    return oracle.eval_f(x) - oracle.f_star
+def _grad_sq(oracle, state):
+    return _sq(_grad(oracle, state))
 
 
-def lyapunov_value(oracle: ProblemOracle, kind: str, state: SolverState,
-                   gap: float) -> float:
-    """The method's Lyapunov value at state, given gap = f(state.x) - f*."""
-    x = state.x
-    if kind in ("ppa", "gd"):
-        return gap + 0.5 * oracle.mu * _sq(x - oracle.x_star)
-    if kind == "pg":
-        return gap
-    if kind == "scaled_ppa":
-        return gap + 0.5 * state.gamma * _sq(x - oracle.x_star)
-    if kind in ("hb_gs", "momentum"):
-        return gap + 0.5 * oracle.mu * _sq(state.v - oracle.x_star)
-    # avd_*, nag, apg, apg_fast_grad, new_apg
-    return gap + 0.5 * state.gamma * _sq(state.v - oracle.x_star)
+@dataclass(frozen=True)
+class Method:
+    """One solver kind.  The Lyapunov value is f - f* + w/2 |centre - x*|^2
+    with w = oracle.mu for weight "mu", state.gamma for "gamma"; it is
+    f - f* for weight None."""
+    step: Callable  # (oracle, state, alpha) -> the next state
+    weight: Optional[str]
+    centre: str  # the state block the Lyapunov value measures: "x" or "v"
+    # (oracle, old, new, q_old, q_new) -> the per-step inequality's slack,
+    # None outside the certified range
+    slack: Callable
+    bound: Callable  # (oracle, gamma0, alpha, k, rho, q0) -> the rate bound at k
+    # state blocks init_state sets beside x: "v", "gamma", "alpha" and "y",
+    # a gradient step from x0
+    blocks: tuple = ()
+    certificate: bool = True  # False: slack is a diagnostic, and certifies nothing
+    default_alpha: Callable = lambda oracle, variant: None
+    rho: Callable = lambda rho, new: rho / (1.0 + new.alpha)  # the factor after a step
+    residual_sq: Callable = _grad_sq  # squared grad-norm residual of a stepped state
+    # (oracle, l, r_sq) -> what slack and bound apply to
+    bounded: Callable = lambda oracle, l, r_sq: l
 
 
-def _grad_norm(oracle: ProblemOracle, state: SolverState) -> float:
-    # math.sqrt(_sq(g)) is what np.linalg.norm computes for a vector
-    if "d_next" in state.aux:
-        return math.sqrt(_sq(state.aux["d_next"]))
-    if "d_next_sq" in state.aux:
-        return math.sqrt(state.aux["d_next_sq"])
-    if "d_f" in state.aux:
-        return math.sqrt(_sq(state.aux["d_f"]))
-    return math.sqrt(_sq(_grad(oracle, state)))
+def _unit_alpha(oracle, variant):
+    return 1.0
 
 
-def cert_slack(oracle: ProblemOracle, kind: str, old: SolverState,
-               new: SolverState, l_old: float, l_new: float) -> Optional[float]:
-    """Slack of the method's per-step inequality; None for uncertified kinds
-    or parameters outside the certified range."""
+def _gd_slack(oracle, old, new, q_old, q_new):
+    a = new.alpha
+    if a <= 0 or a > 2.0 / (oracle.lip + oracle.mu) + 1e-15:
+        return None
+    return (1.0 - oracle.mu * a) * q_old - q_new
+
+
+def _gd_bound(oracle, gamma0, alpha, k, rho, q0):
+    if alpha > 2.0 / (oracle.lip + oracle.mu) + 1e-15:
+        return math.nan
+    return q0 * (1.0 - oracle.mu * alpha) ** k
+
+
+def _pg_slack(oracle, old, new, q_old, q_new):
     mu, lip = oracle.mu, oracle.lip
-    a = new.alpha
-    if kind == "ppa":
-        return l_old / (1.0 + mu * a) - l_new
-    if kind == "gd":
-        if a <= 0 or a > 2.0 / (lip + mu) + 1e-15:
-            return None
-        return (1.0 - mu * a) * l_old - l_new
-    if kind == "pg":
-        if abs(a - 1.0 / lip) > 1e-15:
-            return None
-        if mu > 0:
-            return l_old / (1.0 + mu / lip) - l_new
-        if oracle.radius_r0 is None:
-            return None
-        c2 = 1.0 / (2.0 * lip * oracle.radius_r0 ** 2)
-        return l_old - c2 * l_new * l_new - l_new
-    if kind in ("scaled_ppa", "momentum", "new_apg"):
-        return l_old / (1.0 + a) - l_new
-    if kind in ("avd_grad", "avd_extrap"):
-        contraction = new.aux["contraction"]
-        return contraction * l_old - l_new
-    if kind == "nag":
-        gsq_old = _sq(_grad(oracle, old))
-        gsq_new = _sq(_grad(oracle, new))
-        m_old = l_old - gsq_old / (2.0 * lip)
-        m_new = l_new - gsq_new / (2.0 * lip)
-        return m_old / (1.0 + a) - m_new
-    if kind == "apg":
-        step_a = new.aux["step_alpha"]
-        return (l_old - new.aux["resid_sq"] / (2.0 * lip)) / (1.0 + step_a) - l_new
-    if kind == "apg_fast_grad":
-        return (l_old - new.aux["d_next_sq"] / (4.0 * lip)) / (1.0 + a) - l_new
-    return None  # hb_gs, avd_gs: no contraction certificate
+    if abs(new.alpha - 1.0 / lip) > 1e-15:
+        return None
+    if mu > 0:
+        return q_old / (1.0 + mu / lip) - q_new
+    if oracle.radius_r0 is None:
+        return None
+    c2 = 1.0 / (2.0 * lip * oracle.radius_r0 ** 2)
+    return q_old - c2 * q_new * q_new - q_new
 
 
-def info_slack(oracle: ProblemOracle, kind: str, old: SolverState,
-               new: SolverState, l_old: float, l_new: float) -> float:
-    """One-step inequality slack for the uncertified schemes (diagnostic)."""
+def _pg_bound(oracle, gamma0, alpha, k, rho, q0):
+    mu, lip = oracle.mu, oracle.lip
+    if mu > 0:
+        return q0 * (1.0 + mu / lip) ** (-k)
+    if oracle.radius_r0 is None:
+        return math.nan
+    c2 = 1.0 / (2.0 * lip * oracle.radius_r0 ** 2)
+    delta = c2 * q0 / (1.0 + c2 * q0)
+    return (1.0 + delta) * q0 / (1.0 + c2 * q0 * k)
+
+
+def _alpha_slack(oracle, old, new, q_old, q_new):
+    return q_old / (1.0 + new.alpha) - q_new
+
+
+def _contraction_slack(oracle, old, new, q_old, q_new):
+    return new.aux["contraction"] * q_old - q_new
+
+
+def _hb_gs_diagnostic(oracle, old, new, l_old, l_new):
     a = new.alpha
-    if kind == "hb_gs":
-        rhs = l_old - a * l_new + a * a / (2.0 * oracle.mu) * new.aux["grad_new_sq"]
-        return rhs - l_new
-    if kind == "avd_gs":
-        sg = math.sqrt(old.gamma)
-        rhs = l_old - a * sg * l_new + a * a / 2.0 * new.aux["grad_new_sq"]
-        return rhs - l_new
-    raise UnsupportedSolverError(f"no diagnostic inequality for {kind!r}")
+    rhs = l_old - a * l_new + a * a / (2.0 * oracle.mu) * _sq(new.grad)
+    return rhs - l_new
+
+
+def _avd_gs_diagnostic(oracle, old, new, l_old, l_new):
+    a, sg = new.alpha, math.sqrt(old.gamma)
+    rhs = l_old - a * sg * l_new + a * a / 2.0 * _sq(new.grad)
+    return rhs - l_new
+
+
+def _measured_bound(oracle, gamma0, alpha, k, rho, q0):
+    return q0 * rho
+
+
+def _no_bound(oracle, gamma0, alpha, k, rho, q0):
+    return math.nan
+
+
+def _schedule_bound(rule: str) -> Callable:
+    """q0 times the step rule's closed-form factor bound."""
+    def bound(oracle, gamma0, alpha, k, rho, q0):
+        try:
+            return q0 * schedules.rho_bound(rule, gamma0, oracle.mu, oracle.lip, k)
+        except schedules.ScheduleError:
+            return math.nan
+    return bound
+
+
+def _times_contraction(rho, new):
+    return rho * new.aux["contraction"]
+
+
+# A step is called through its module-level name, looked up at call time,
+# so a wrapper installed on that name (a tracer, say) sees every step.
+METHODS = {
+    "ppa": Method(
+        step=lambda o, s, a: step_ppa(o, s, a), weight="mu", centre="x",
+        slack=lambda o, old, new, q_old, q_new: q_old / (1.0 + o.mu * new.alpha) - q_new,
+        bound=lambda o, g0, a, k, rho, q0: q0 * (1.0 + o.mu * a) ** (-k),
+        default_alpha=_unit_alpha),
+    "gd": Method(
+        step=lambda o, s, a: step_gd(o, s, a), weight="mu", centre="x",
+        slack=_gd_slack, bound=_gd_bound,
+        default_alpha=lambda o, variant: 2.0 / (o.lip + o.mu)),
+    "pg": Method(
+        step=lambda o, s, a: step_pg(o, s, a), weight=None, centre="x",
+        slack=_pg_slack, bound=_pg_bound, default_alpha=lambda o, variant: 1.0 / o.lip,
+        residual_sq=lambda o, s: _sq(s.aux["d_next"])),
+    "scaled_ppa": Method(
+        step=lambda o, s, a: step_scaled_ppa(o, s, a), weight="gamma", centre="x",
+        slack=_alpha_slack, bound=_measured_bound, blocks=("gamma",),
+        default_alpha=_unit_alpha),
+    "hb_gs": Method(
+        step=lambda o, s, a: step_hb_gs(o, s, a), weight="mu", centre="v",
+        slack=_hb_gs_diagnostic, certificate=False, bound=_no_bound, blocks=("v",),
+        default_alpha=_unit_alpha),
+    "momentum": Method(
+        step=lambda o, s, a: step_momentum(o, s, a), weight="mu", centre="v",
+        slack=_alpha_slack, bound=_measured_bound, blocks=("v",),
+        default_alpha=lambda o, variant: schedules.momentum_alpha(o.mu, o.lip, variant)),
+    "avd_gs": Method(
+        step=lambda o, s, a: step_avd(o, s, "gs", a), weight="gamma", centre="v",
+        slack=_avd_gs_diagnostic, certificate=False, bound=_no_bound,
+        blocks=("v", "gamma"), default_alpha=_unit_alpha),
+    "avd_grad": Method(
+        step=lambda o, s, a: step_avd(o, s, "grad", a), weight="gamma", centre="v",
+        slack=_contraction_slack, bound=_measured_bound, blocks=("v", "gamma"),
+        rho=_times_contraction),
+    "avd_extrap": Method(
+        step=lambda o, s, a: step_avd(o, s, "extrap", a), weight="gamma", centre="v",
+        slack=_contraction_slack, bound=_measured_bound, blocks=("v", "gamma"),
+        rho=_times_contraction),
+    # nag's certificate and rate bound hold for L - |grad f(x)|^2 / (2L)
+    "nag": Method(
+        step=lambda o, s, a: step_nag(o, s), weight="gamma", centre="v",
+        slack=_alpha_slack, bound=_schedule_bound("nag"), blocks=("v", "y", "gamma"),
+        bounded=lambda o, l, r_sq: l - r_sq / (2.0 * o.lip)),
+    "apg": Method(
+        step=lambda o, s, a: step_apg(o, s), weight="gamma", centre="v",
+        slack=lambda o, old, new, q_old, q_new: (q_old - new.aux["resid_sq"] / (2.0 * o.lip))
+        / (1.0 + new.aux["step_alpha"]) - q_new,
+        bound=_schedule_bound("b0"), blocks=("v", "y", "gamma", "alpha"),
+        rho=lambda rho, new: rho / (1.0 + new.aux["step_alpha"])),
+    "apg_fast_grad": Method(
+        step=lambda o, s, a: step_apg_fast_grad(o, s), weight="gamma", centre="v",
+        slack=lambda o, old, new, q_old, q_new: (q_old - new.aux["d_next_sq"] / (4.0 * o.lip))
+        / (1.0 + new.alpha) - q_new,
+        bound=_schedule_bound("fast_grad"), blocks=("v", "gamma"),
+        residual_sq=lambda o, s: s.aux["d_next_sq"]),
+    "new_apg": Method(
+        step=lambda o, s, a: step_new_apg(o, s), weight="gamma", centre="v",
+        slack=_alpha_slack, bound=_schedule_bound("b_half"), blocks=("v", "gamma"),
+        residual_sq=lambda o, s: _sq(s.aux["d_f"])),
+}
+
+SOLVER_KINDS = tuple(METHODS)
 
 
 # ---------------------------------------------------------------------------
 # Run loop.
 # ---------------------------------------------------------------------------
 
-def _rate_bound(oracle: ProblemOracle, kind: str, gamma0: float, alpha, k: int,
-                rho_measured: float, l0: float) -> float:
-    mu, lip = oracle.mu, oracle.lip
-    try:
-        if kind == "ppa":
-            return l0 * (1.0 + mu * alpha) ** (-k)
-        if kind == "gd":
-            if alpha is None or alpha > 2.0 / (lip + mu) + 1e-15:
-                return math.nan
-            return l0 * (1.0 - mu * alpha) ** k
-        if kind == "pg":
-            if mu > 0:
-                return l0 * (1.0 + mu / lip) ** (-k)
-            if oracle.radius_r0 is None:
-                return math.nan
-            c2 = 1.0 / (2.0 * lip * oracle.radius_r0 ** 2)
-            delta = c2 * l0 / (1.0 + c2 * l0)
-            return (1.0 + delta) * l0 / (1.0 + c2 * l0 * k)
-        if kind in ("scaled_ppa", "momentum", "avd_grad", "avd_extrap"):
-            return l0 * rho_measured
-        if kind == "nag":
-            return l0 * schedules.rho_bound("nag", gamma0, mu, lip, k)
-        if kind == "apg":
-            return l0 * schedules.rho_bound("b0", gamma0, mu, lip, k)
-        if kind == "apg_fast_grad":
-            return l0 * schedules.rho_bound("fast_grad", gamma0, mu, lip, k)
-        if kind == "new_apg":
-            return l0 * schedules.rho_bound("b_half", gamma0, mu, lip, k)
-    except schedules.ScheduleError:
-        return math.nan
-    return math.nan
+def _method(kind: str) -> Method:
+    method = METHODS.get(kind)
+    if method is None:
+        raise UnsupportedSolverError(f"unknown solver kind: {kind!r}")
+    return method
+
+
+def _gap(oracle: ProblemOracle, x) -> float:
+    return oracle.eval_f(x) - oracle.f_star
+
+
+def _lyapunov(oracle: ProblemOracle, method: Method, state: SolverState,
+              gap: float) -> float:
+    """The method's Lyapunov value at state, given gap = f(state.x) - f*."""
+    if method.weight is None:
+        return gap
+    weight = oracle.mu if method.weight == "mu" else state.gamma
+    return gap + 0.5 * weight * _sq(getattr(state, method.centre) - oracle.x_star)
 
 
 def init_state(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None) -> SolverState:
-    x0 = _vec(x0)
-    v0 = x0.copy() if v0 is None else _vec(v0)
-    gamma0 = float(oracle.lip) if gamma0 is None else float(gamma0)
-    if kind in ("ppa", "gd", "pg"):
-        return SolverState(k=0, x=x0)
-    if kind == "scaled_ppa":
-        return SolverState(k=0, x=x0, gamma=gamma0)
-    if kind in ("hb_gs", "momentum"):
-        return SolverState(k=0, x=x0, v=v0)
-    if kind in ("avd_gs", "avd_grad", "avd_extrap"):
-        return SolverState(k=0, x=x0, v=v0, gamma=gamma0)
-    if kind in ("nag", "apg"):
-        g0 = oracle.grad_h(x0)
-        y0 = x0 - g0 / oracle.lip
-        a0 = math.sqrt(gamma0 / oracle.lip) if kind == "apg" else None
-        return SolverState(k=0, x=x0, v=v0, y=y0, gamma=gamma0, alpha=a0, grad=g0)
-    if kind in ("apg_fast_grad", "new_apg"):
-        return SolverState(k=0, x=x0, v=v0, gamma=gamma0)
-    raise UnsupportedSolverError(f"unknown solver kind: {kind!r}")
-
-
-def _advance(oracle: ProblemOracle, kind: str, state: SolverState,
-             alpha, variant: str) -> SolverState:
-    if kind == "ppa":
-        return step_ppa(oracle, state, alpha)
-    if kind == "gd":
-        return step_gd(oracle, state, alpha)
-    if kind == "pg":
-        return step_pg(oracle, state, alpha)
-    if kind == "scaled_ppa":
-        return step_scaled_ppa(oracle, state, alpha)
-    if kind == "momentum":
-        a = schedules.momentum_alpha(oracle.mu, oracle.lip, variant) if alpha is None else alpha
-        return step_momentum(oracle, state, a)
-    if kind == "hb_gs":
-        return step_hb_gs(oracle, state, alpha)
-    if kind in ("avd_gs", "avd_grad", "avd_extrap"):
-        return step_avd(oracle, state, kind.split("_", 1)[1], alpha)
-    if kind == "nag":
-        return step_nag(oracle, state)
-    if kind == "apg":
-        return step_apg(oracle, state)
-    if kind == "apg_fast_grad":
-        return step_apg_fast_grad(oracle, state)
-    if kind == "new_apg":
-        return step_new_apg(oracle, state)
-    raise UnsupportedSolverError(f"unknown solver kind: {kind!r}")
+    """The start state of kind: x0 and the method's state blocks."""
+    blocks = _method(kind).blocks
+    state = SolverState(k=0, x=_vec(x0))
+    if "v" in blocks:
+        state.v = state.x.copy() if v0 is None else _vec(v0)
+    if "gamma" in blocks:
+        state.gamma = float(oracle.lip) if gamma0 is None else float(gamma0)
+    if "y" in blocks:
+        state.grad = oracle.grad_h(state.x)
+        state.y = state.x - state.grad / oracle.lip
+    if "alpha" in blocks:
+        state.alpha = math.sqrt(state.gamma / oracle.lip)
+    return state
 
 
 def _finite(gap: float, lyap: float, gnorm: float) -> bool:
@@ -452,64 +486,52 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
     The run stops at the first record whose f_gap, Lyapunov value or grad
     norm is not finite, and reports its k as nonfinite_at_k.
     """
-    if kind not in SOLVER_KINDS:
-        raise UnsupportedSolverError(f"unknown solver kind: {kind!r}")
+    method = _method(kind)
     state = init_state(oracle, kind, x0, v0, gamma0)
-    gamma0_val = state.gamma if state.gamma is not None else float(oracle.lip)
-    if kind in ("ppa", "gd", "pg", "scaled_ppa", "hb_gs", "avd_gs") and alpha is None:
-        if kind == "gd":
-            alpha = 2.0 / (oracle.lip + oracle.mu)
-        elif kind == "pg":
-            alpha = 1.0 / oracle.lip
-        else:
-            alpha = 1.0
+    if alpha is None:
+        alpha = method.default_alpha(oracle, variant)
+    gamma0 = state.gamma
     gap = _gap(oracle, state.x)
-    l0 = lyapunov_value(oracle, kind, state, gap)
-    # the nag rate bound applies to the gradient-corrected quantity, not plain L
-    l0_bound = l0 - _sq(_grad(oracle, state)) / (2.0 * oracle.lip) \
-        if kind == "nag" else l0
+    l_cur = _lyapunov(oracle, method, state, gap)
+    # no step has made a residual yet: the start's is its gradient
+    r_sq = _grad_sq(oracle, state)
+    q0 = q_cur = method.bounded(oracle, l_cur, r_sq)
     rho = 1.0
     certified = True
     violations = 0
-    gnorm = _grad_norm(oracle, state)
+    gnorm = math.sqrt(r_sq)
     records = [TraceRecord(
-        k=0, f_gap=gap, lyapunov=l0,
-        bound=_rate_bound(oracle, kind, gamma0_val, alpha, 0, 1.0, l0_bound),
-        slack=math.nan, grad_norm=gnorm,
-        alpha=math.nan, gamma=state.gamma if state.gamma is not None else math.nan)]
-    nonfinite_at_k = None if _finite(gap, l0, gnorm) else 0
-    l_cur = l0
+        k=0, f_gap=gap, lyapunov=l_cur,
+        bound=method.bound(oracle, gamma0, alpha, 0, rho, q0),
+        slack=math.nan, grad_norm=gnorm, alpha=math.nan,
+        gamma=math.nan if state.gamma is None else state.gamma, bounded=q0)]
+    nonfinite_at_k = None if _finite(gap, l_cur, gnorm) else 0
     for _ in range(iters if nonfinite_at_k is None else 0):
-        new = _advance(oracle, kind, state, alpha, variant)
+        new = method.step(oracle, state, alpha)
         gap = _gap(oracle, new.x)
-        l_new = lyapunov_value(oracle, kind, new, gap)
-        if kind in ("avd_grad", "avd_extrap"):
-            rho *= new.aux["contraction"]
-        elif new.alpha is not None:
-            step_a = new.aux.get("step_alpha", new.alpha)
-            rho /= (1.0 + step_a)
-        slack = cert_slack(oracle, kind, state, new, l_cur, l_new)
+        l_new = _lyapunov(oracle, method, new, gap)
+        r_sq = method.residual_sq(oracle, new)
+        q_new = method.bounded(oracle, l_new, r_sq)
+        rho = method.rho(rho, new)
+        slack = method.slack(oracle, state, new, q_cur, q_new)
         if slack is None:
             certified = False
-            if kind in ("hb_gs", "avd_gs"):
-                slack = info_slack(oracle, kind, state, new, l_cur, l_new)
-            else:
-                slack = math.nan
+            slack = math.nan
+        elif not method.certificate:
+            certified = False
         elif not slack >= -CERT_TOL * (1.0 + abs(l_cur)):
             violations += 1
-        gnorm = _grad_norm(oracle, new)
+        gnorm = math.sqrt(r_sq)
         records.append(TraceRecord(
             k=new.k, f_gap=gap, lyapunov=l_new,
-            bound=_rate_bound(oracle, kind, gamma0_val, alpha, new.k, rho, l0_bound),
-            slack=slack, grad_norm=gnorm,
-            alpha=new.alpha if new.alpha is not None else math.nan,
-            gamma=new.gamma if new.gamma is not None else math.nan))
+            bound=method.bound(oracle, gamma0, alpha, new.k, rho, q0),
+            slack=slack, grad_norm=gnorm, alpha=new.alpha,
+            gamma=math.nan if new.gamma is None else new.gamma, bounded=q_new))
         if not _finite(gap, l_new, gnorm):
             nonfinite_at_k = new.k
             break
-        state, l_cur = new, l_new
+        state, l_cur, q_cur = new, l_new, q_new
         if stop_grad_tol is not None and gnorm < stop_grad_tol:
             break
     return RunResult(kind=kind, records=records, certified=certified,
                      violations=violations, nonfinite_at_k=nonfinite_at_k)
-

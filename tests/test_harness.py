@@ -81,11 +81,11 @@ class TestRunCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["uncertified"]
 
-    def test_config_list_with_jobs(self, tmp_path, capsys):
+    def test_config_list(self, tmp_path, capsys):
         cfgs = [gd_config(), {"problem": QUAD_PROBLEM, "solver": "nag",
                               "iters": 50, "x0": [4.0, -3.0]}]
         path = write_json(tmp_path / "cfg.json", cfgs)
-        assert main(["run", "--config", path, "--jobs", "2"]) == 0
+        assert main(["run", "--config", path]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert len(reports) == 2
         assert all(r["pass"] for r in reports)
@@ -176,6 +176,17 @@ class TestRatesCommand:
         assert report["pass"] is True
         assert 0.0 < report["max_violation"] <= 1e-12
 
+    @pytest.mark.parametrize("args", [
+        ["--rule", "nag", "--r", "nan", "--mu-over-l", "0"],
+        ["--rule", "b0", "--r", "1", "--mu-over-l", "nan"],
+    ], ids=["nag-r-nan", "b0-mu-nan"])
+    def test_nan_table_fails_with_strict_json(self, tmp_path, capsys, args):
+        # each printed "pass": true and exited 0: max() dropped the NaN excess
+        out = str(tmp_path / "rates.csv")
+        code = main(["rates", *args, "--kmax", "5", "--out", out])
+        report = strict_json(capsys.readouterr().out)
+        assert code == 1 and report["pass"] is False and report["max_violation"] is None
+
     def test_unknown_rule_exit_2(self):
         assert main(["rates", "--rule", "cubic", "--r", "1.0",
                      "--mu-over-l", "0.0", "--kmax", "5"]) == 2
@@ -243,11 +254,10 @@ class TestRunFailsClosed:
         assert code == 0 and report["nonfinite_at_k"] is None
 
     def test_nan_bound_gap_fails(self):
-        oracle = make_quadratic([1.0, 4.0], [1.0, -2.0])
-        records = [solvers.TraceRecord(k, 1.0, value, 2.0, 0.0, 1.0, 0.5, math.nan)
+        records = [solvers.TraceRecord(k, 1.0, value, 2.0, 0.0, 1.0, 0.5, math.nan, value)
                    for k, value in enumerate([1.0, math.nan, 0.5])]
-        report = harness._nag_aware_report(
-            oracle, solvers.RunResult("gd", records, certified=True, violations=0))
+        report = harness._run_report(
+            solvers.RunResult("gd", records, certified=True, violations=0))
         assert report["pass"] is False and report["max_bound_violation"] is None
         json.dumps(report, allow_nan=False)
 

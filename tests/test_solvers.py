@@ -4,15 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lyapopt import schedules, solvers
+from lyapopt import harness, schedules, solvers
 from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic
 from lyapopt.solvers import (
     SolverState,
     UnsupportedSolverError,
-    cert_slack,
     init_state,
-    lyapunov_value,
     momentum_two_sequence,
     run,
     step_apg_fast_grad,
@@ -361,11 +360,12 @@ class TestOracleCallsPerIteration:
     @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
     def test_carried_gradient_is_grad_at_x(self, kind):
         oracle = convex_lasso() if kind in COMPOSITE_KINDS else QUAD
+        method = solvers.METHODS[kind]
         alpha = 1.0 / oracle.lip if kind in ("gd", "pg") else \
-            1.0 if kind in ("ppa", "scaled_ppa", "hb_gs", "avd_gs") else None
+            method.default_alpha(oracle, "sqrt")
         state = init_state(oracle, kind, oracle.x_star + 2.0)
         for _ in range(5):
-            state = solvers._advance(oracle, kind, state, alpha, "sqrt")
+            state = method.step(oracle, state, alpha)
             if state.grad is not None:
                 assert np.array_equal(state.grad, oracle.grad_h(state.x))
 
@@ -390,6 +390,39 @@ class TestFailClosed:
         assert run(QUAD, "nag", [4.0, -3.0], iters=50).nonfinite_at_k is None
 
     def test_nan_slack_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(solvers, "cert_slack", lambda *args: math.nan)
+        monkeypatch.setitem(solvers.METHODS, "gd", dataclasses.replace(
+            solvers.METHODS["gd"], slack=lambda *args: math.nan))
         res = run(QUAD, "gd", [4.0, -3.0], iters=7)
         assert res.certified and res.violations == 7
+
+
+CERTIFIED_KINDS = [kind for kind, method in solvers.METHODS.items() if method.certificate]
+
+
+@st.composite
+def strongly_convex_quadratics(draw):
+    """A diagonal quadratic of dim 2-8 with condition number up to 1e4, as
+    a problem document, and a start point."""
+    dim = draw(st.integers(2, 8))
+    mu = 10.0 ** draw(st.floats(-2.0, 2.0))
+    log_cond = draw(st.floats(0.0, 4.0))
+    # the first and last eigenvalues are mu and mu * 10**log_cond
+    spread = [0.0] + draw(st.lists(st.floats(0.0, 1.0), min_size=dim - 2,
+                                   max_size=dim - 2)) + [1.0]
+    coords = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+    eigs = [mu * 10.0 ** (log_cond * u) for u in spread]
+    return {"kind": "quadratic", "eigs": eigs, "b": draw(coords)}, draw(coords)
+
+
+class TestTableProperty:
+    """Every kind whose table entry carries a certificate keeps it, with a
+    passing report, on random strongly convex quadratics."""
+
+    @given(strongly_convex_quadratics())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_certified_kinds_pass(self, case):
+        problem, x0 = case
+        for kind in CERTIFIED_KINDS:
+            report = harness.cmd_run({"problem": problem, "solver": kind, "x0": x0})
+            assert report["certified"] and report["cert_violations"] == 0, (kind, report)
+            assert report["nonfinite_at_k"] is None and report["pass"], (kind, report)
