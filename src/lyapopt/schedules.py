@@ -135,20 +135,20 @@ def rho_bound(rule: str, gamma0: float, mu: float, lip: float, k: int) -> float:
         raise ScheduleError("accelerated bounds require gamma0 >= mu")
     r = gamma0 / lip
     q = mu / lip
-    if math.isnan(r) or math.isnan(q):
-        # min() below would drop a NaN term and return a finite bound
-        return math.nan
     if rule in ("b0", "apg"):
-        return min(_sublinear_b0(r, k), _linear(q, k))
-    if rule in ("b_half", "new_apg"):
-        return min(_sublinear_bhalf(r, k), _linear(q, k))
-    if rule == "nag":
-        return min(_sublinear_nag(r, k), _linear(q, k, factor=2.0))
-    if rule == "fast_grad":
-        return min(_sublinear_b0(gamma0 / (4.0 * lip), k), _linear(q / 4.0, k))
-    if rule == "momentum":
-        return _linear(q, k)
-    raise ScheduleError(f"unknown rate rule: {rule!r}")
+        bound = min(_sublinear_b0(r, k), _linear(q, k))
+    elif rule in ("b_half", "new_apg"):
+        bound = min(_sublinear_bhalf(r, k), _linear(q, k))
+    elif rule == "nag":
+        bound = min(_sublinear_nag(r, k), _linear(q, k, factor=2.0))
+    elif rule == "fast_grad":
+        bound = min(_sublinear_b0(gamma0 / (4.0 * lip), k), _linear(q / 4.0, k))
+    elif rule == "momentum":
+        bound = _linear(q, k)
+    else:
+        raise ScheduleError(f"unknown rate rule: {rule!r}")
+    # min() drops a NaN term, so a NaN parameter would give a finite bound
+    return math.nan if math.isnan(r) or math.isnan(q) else bound
 
 
 def rho_bound_for_b(b_coef: float, gamma0: float, mu: float, lip: float, k: int) -> float:
