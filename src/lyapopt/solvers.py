@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -263,11 +263,11 @@ def _grad_sq(oracle, state):
     return _sq(_grad(oracle, state))
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """One solver kind.  The Lyapunov value is f - f* + w/2 |centre - x*|^2
     with w = oracle.mu for weight "mu", state.gamma for "gamma"; it is
-    f - f* for weight None."""
+    f - f* for weight None.  (A NamedTuple, not a dataclass: the class is
+    built at every import, and a frozen dataclass takes ~2 ms to build.)"""
     step: Callable  # (oracle, state, alpha) -> the next state
     weight: Optional[str]
     centre: str  # the state block the Lyapunov value measures: "x" or "v"

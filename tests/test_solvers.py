@@ -390,8 +390,8 @@ class TestFailClosed:
         assert run(QUAD, "nag", [4.0, -3.0], iters=50).nonfinite_at_k is None
 
     def test_nan_slack_is_a_violation(self, monkeypatch):
-        monkeypatch.setitem(solvers.METHODS, "gd", dataclasses.replace(
-            solvers.METHODS["gd"], slack=lambda *args: math.nan))
+        monkeypatch.setitem(solvers.METHODS, "gd",
+                            solvers.METHODS["gd"]._replace(slack=lambda *args: math.nan))
         res = run(QUAD, "gd", [4.0, -3.0], iters=7)
         assert res.certified and res.violations == 7
 
