@@ -267,7 +267,8 @@ class Method(NamedTuple):
     """One solver kind.  The Lyapunov value is f - f* + w/2 |centre - x*|^2
     with w = oracle.mu for weight "mu", state.gamma for "gamma"; it is
     f - f* for weight None.  (A NamedTuple, not a dataclass: the class is
-    built at every import, and a frozen dataclass takes ~2 ms to build.)"""
+    built at every import, and a frozen dataclass builds several times
+    slower.)"""
     step: Callable  # (oracle, state, alpha) -> the next state
     weight: Optional[str]
     centre: str  # the state block the Lyapunov value measures: "x" or "v"
