@@ -11,6 +11,7 @@ confirms the Lyapunov bounds along them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -25,6 +26,9 @@ _HAS_V = {"gradient": False, "scaled_gradient": False, "heavy_ball": True,
           "avd_r3": True, "hnag": True}
 _HAS_GAMMA = {"gradient": False, "scaled_gradient": True, "heavy_ball": False,
               "avd_r3": True, "hnag": True}
+
+# integrate checks its trajectory for NaN/Inf once per this many steps
+FINITE_CHECK_STEPS = 256
 
 
 class FlowError(ValueError):
@@ -67,6 +71,8 @@ class FlowModel:
     kind: str
     oracle: ProblemOracle
     beta_fn: Callable[[float], float] = dc_field(default=None)  # type: ignore
+    # the field, built once per model by _field_fn
+    rhs: Callable = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FLOW_KINDS:
@@ -76,6 +82,7 @@ class FlowModel:
         if self.beta_fn is None:
             lip = self.oracle.lip
             object.__setattr__(self, "beta_fn", lambda t: 1.0 / lip)
+        object.__setattr__(self, "rhs", _field_fn(self))
 
     @property
     def has_v(self) -> bool:
@@ -86,26 +93,62 @@ class FlowModel:
         return _HAS_GAMMA[self.kind]
 
 
-def _velocity(model: FlowModel, t, x, v, gamma):
-    """The vector field block by block: (x', v', gamma'), None for an
-    absent block.  t and gamma are floats, or columns of shape (..., 1)
-    that scale the rows of x."""
+def _sqrt(a):
+    """np.sqrt, without numpy's per-call cost on a float: NaN for a negative
+    or NaN float, as np.sqrt gives (math.sqrt raises on a negative)."""
+    if isinstance(a, float):
+        return math.sqrt(a) if a >= 0.0 else math.nan
+    return np.sqrt(a)
+
+
+def _field_fn(model: FlowModel):
+    """The field of model's kind as rhs(t, x, v, gamma, dx, dv) -> gamma'.
+
+    rhs writes x' into dx and v' into dv (None for a kind without v) and
+    returns gamma', 0.0 for a kind without gamma.  t and gamma are floats,
+    or columns of shape (..., 1) that scale the rows of x.
+
+    A quotient -g / s is taken as g / -s, which saves negating the array:
+    IEEE division is symmetric in sign, so the two agree bit for bit on
+    every value but the sign of a NaN.
+    """
     oracle = model.oracle
-    g = oracle.grad_h(x)
+    grad, mu, beta_fn = oracle.grad_h, oracle.mu, model.beta_fn
     kind = model.kind
+
     if kind == "gradient":
-        return -g, None, None
-    if kind == "scaled_gradient":
-        return -g / gamma, None, oracle.mu - gamma
-    if kind == "heavy_ball":
-        return v - x, x - v - g / oracle.mu, None
-    if kind == "avd_r3":
-        sg = np.sqrt(gamma)
-        return sg * (v - x), -g / sg, -gamma * sg
-    beta = model.beta_fn(t)
-    return (v - x - beta * g,
-            (oracle.mu / gamma) * (x - v) - g / gamma,
-            oracle.mu - gamma)
+        def rhs(t, x, v, gamma, dx, dv):
+            np.negative(grad(x), out=dx)
+            return 0.0
+    elif kind == "scaled_gradient":
+        def rhs(t, x, v, gamma, dx, dv):
+            np.divide(grad(x), -gamma, out=dx)
+            return mu - gamma
+    elif kind == "heavy_ball":
+        def rhs(t, x, v, gamma, dx, dv):
+            g = grad(x)
+            np.subtract(v, x, out=dx)
+            np.subtract(x, v, out=dv)
+            dv -= g / mu
+            return 0.0
+    elif kind == "avd_r3":
+        def rhs(t, x, v, gamma, dx, dv):
+            g = grad(x)
+            sg = _sqrt(gamma)
+            np.subtract(v, x, out=dx)
+            dx *= sg
+            np.divide(g, -sg, out=dv)
+            return -gamma * sg
+    else:
+        def rhs(t, x, v, gamma, dx, dv):
+            g = grad(x)
+            np.subtract(v, x, out=dx)
+            dx -= beta_fn(t) * g
+            np.subtract(x, v, out=dv)
+            dv *= mu / gamma
+            dv -= g / gamma
+            return mu - gamma
+    return rhs
 
 
 def _raw_state(t, x, v=None, gamma=None) -> FlowState:
@@ -128,27 +171,20 @@ def field(model: FlowModel, state: FlowState) -> FlowState:
     slot of the result is dt/dt = 1."""
     _check_blocks(model, state)
     x = np.asarray(state.x, dtype=float)
-    dx, dv, dgamma = _velocity(model, _column(state.t), x, state.v, _column(state.gamma))
-    return _raw_state(1.0, dx, dv, None if dgamma is None else unbox(dgamma[..., 0]))
+    dx = np.empty_like(x)
+    dv = np.empty_like(x) if model.has_v else None
+    dgamma = model.rhs(_column(state.t), x, state.v, _column(state.gamma), dx, dv)
+    return _raw_state(1.0, dx, dv, unbox(dgamma[..., 0]) if model.has_gamma else None)
 
 
 def _column(a):
     return None if a is None else np.asarray(a, dtype=float)[..., None]
 
 
-def _pack(model: FlowModel, state: FlowState) -> np.ndarray:
-    """A single state as one vector laid out [x | v | gamma]."""
-    parts = [state.x]
-    if model.has_v:
-        parts.append(state.v)
-    if model.has_gamma:
-        parts.append(np.array([state.gamma]))
-    return np.concatenate(parts)
-
-
 def _unpack(model: FlowModel, t, y: np.ndarray) -> FlowState:
-    """Inverse of _pack over the last axis: a vector gives a single state,
-    a (k, m) array a batch."""
+    """A state from rows laid out [x | v | gamma] (the gamma column is
+    there for every kind): a vector gives a single state, a (k, m) array a
+    batch."""
     n = model.oracle.dim
     v = y[..., n:2 * n] if model.has_v else None
     gamma = y[..., -1] if model.has_gamma else None
@@ -157,32 +193,18 @@ def _unpack(model: FlowModel, t, y: np.ndarray) -> FlowState:
     return _raw_state(t, y[..., :n], v, gamma)
 
 
-def _packed_field(model: FlowModel):
-    """rhs(t, y, out): the field at the packed state y, written into out.
-
-    x and v are views of y, and gamma is read as a float, as a single
-    state holds it."""
-    n = model.oracle.dim
-    has_v, has_gamma = model.has_v, model.has_gamma
-
-    def rhs(t, y, out):
-        dx, dv, dgamma = _velocity(model, t, y[:n], y[n:2 * n] if has_v else None,
-                                   float(y[-1]) if has_gamma else None)
-        out[:n] = dx
-        if has_v:
-            out[n:2 * n] = dv
-        if has_gamma:
-            out[-1] = dgamma
-
-    return rhs
-
-
 def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> FlowState:
     """Classical RK4 with a fixed step, sampled every step.
 
     Returns the trajectory, state0 included, as one batched FlowState with
     a leading axis of steps + 1.  Raises DivergenceError carrying the last
     finite state if the trajectory blows up.
+
+    The stages are written into preallocated rows, and gamma, which no
+    other block feeds, is carried as a float.  Finiteness is checked once
+    per FINITE_CHECK_STEPS steps, over every row of the block, so the
+    error names the first non-finite row, as a per-step check would; the
+    rest of its block is computed and dropped.
     """
     if dt <= 0 or t_end <= state0.t:
         raise FlowError("need dt > 0 and t_end > t0")
@@ -190,29 +212,59 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     n_steps = max(1, int(round((t_end - state0.t) / dt)))
     h = (t_end - state0.t) / n_steps
     half, sixth = 0.5 * h, h / 6.0
-    rhs = _packed_field(model)
-    y0 = _pack(model, state0)
-    traj = np.empty((n_steps + 1, y0.size))
-    traj[0] = y0
+    # 0-d arrays for the array products: numpy converts a float operand on
+    # every call
+    h_, half_, sixth_ = np.array(h), np.array(half), np.array(sixth)
+    rhs = model.rhs
+    n = model.oracle.dim
+    m = 2 * n if model.has_v else n
+    gamma = float(state0.gamma) if model.has_gamma else 0.0
+    # y is the current row [x | v | gamma], stage a stage's [x | v], and
+    # k the four stage derivatives of [x | v]
+    y = np.concatenate([state0.x] + ([state0.v] if model.has_v else []) + [[gamma]])
+    traj = np.empty((n_steps + 1, m + 1))
+    traj[0] = y
     times = np.empty(n_steps + 1)
     t = times[0] = state0.t
-    k = np.empty((4, y0.size))
-    k1, k2, k3, k4 = k
-    for i in range(n_steps):
-        y = traj[i]
-        rhs(t, y, k1)
-        rhs(t + half, y + half * k1, k2)
-        rhs(t + half, y + half * k2, k3)
-        rhs(t + h, y + h * k3, k4)
-        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right as written
-        k[1:3] *= 2.0
-        y_next = traj[i + 1]
-        np.add(y, sixth * np.add.reduce(k, axis=0), out=y_next)
-        t += h
-        times[i + 1] = t
-        if not np.isfinite(y_next).all():
-            raise DivergenceError(f"integration diverged at t={t:.6g}",
-                                  _unpack(model, float(times[i]), y.copy()))
+    stage = np.empty(m)
+    k = np.empty((4, m))
+    k_sum = np.empty(m)
+    k_mid, y_xv = k[1:3], y[:m]
+
+    def blocks(row):
+        return row[:n], row[n:m] if model.has_v else None
+
+    (yx, yv), (sx, sv) = blocks(y), blocks(stage)
+    (k1, k1x, k1v), (k2, k2x, k2v), (k3, k3x, k3v), (k4, k4x, k4v) = \
+        [(row, *blocks(row)) for row in k]
+    for start in range(0, n_steps, FINITE_CHECK_STEPS):
+        stop = min(start + FINITE_CHECK_STEPS, n_steps)
+        for i in range(start + 1, stop + 1):
+            g1 = rhs(t, yx, yv, gamma, k1x, k1v)
+            np.multiply(k1, half_, out=stage)
+            stage += y_xv
+            g2 = rhs(t + half, sx, sv, gamma + half * g1, k2x, k2v)
+            np.multiply(k2, half_, out=stage)
+            stage += y_xv
+            g3 = rhs(t + half, sx, sv, gamma + half * g2, k3x, k3v)
+            np.multiply(k3, h_, out=stage)
+            stage += y_xv
+            g4 = rhs(t + h, sx, sv, gamma + h * g3, k4x, k4v)
+            # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right as written
+            k_mid *= 2.0
+            np.add.reduce(k, axis=0, out=k_sum)
+            k_sum *= sixth_
+            y_xv += k_sum
+            gamma += sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            y[m] = gamma
+            t += h
+            times[i] = t
+            traj[i] = y
+        block = traj[start + 1:stop + 1]
+        if not np.isfinite(block).all():
+            row = start + 1 + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
+            raise DivergenceError(f"integration diverged at t={times[row]:.6g}",
+                                  _unpack(model, float(times[row - 1]), traj[row - 1].copy()))
     return _unpack(model, times, traj)
 
 

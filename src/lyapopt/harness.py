@@ -197,6 +197,9 @@ def cmd_verify_lyapunov(pairing: str, samples: int, seed: int,
 
 def cmd_rates(rule: str, r: float, mu_over_l: float, k_max: int,
               out: str = None) -> dict:
+    if k_max < 0:
+        # an empty table would pass
+        raise ConfigError("kmax must be >= 0")
     lip = 1.0
     gamma0 = r * lip
     mu = mu_over_l * lip

@@ -177,15 +177,17 @@ def iterate_schedule(rule: str, gamma0: float, mu: float, lip: float, k_max: int
     """
     if rule not in STEP_RULES:
         raise ScheduleError(f"unknown step rule: {rule!r}")
+    if lip <= 0 or k_max < 0:
+        raise ScheduleError("iterate_schedule needs lip > 0 and k_max >= 0")
     alpha_fn = STEP_RULES[rule]
-    gammas = np.empty(k_max + 1)
-    rhos = np.empty(k_max + 1)
-    alphas = np.empty(k_max)
-    gammas[0] = gamma0
-    rhos[0] = 1.0
-    for k in range(k_max):
-        a = alpha_fn(gammas[k], lip)
-        alphas[k] = a
-        gammas[k + 1] = gamma_step(gammas[k], a, mu)
-        rhos[k + 1] = rhos[k] / (1.0 + a)
-    return alphas, gammas, rhos
+    # on Python floats: a numpy element read or write costs more than the step
+    gamma, rho = float(gamma0), 1.0
+    alphas, gammas, rhos = [], [gamma], [rho]
+    for _ in range(k_max):
+        a = alpha_fn(gamma, lip)
+        alphas.append(a)
+        gamma = gamma_step(gamma, a, mu)
+        rho = rho / (1.0 + a)
+        gammas.append(gamma)
+        rhos.append(rho)
+    return np.array(alphas), np.array(gammas), np.array(rhos)

@@ -164,8 +164,6 @@ def step_avd(oracle: ProblemOracle, state: SolverState, variant: str,
 
 
 def step_nag(oracle: ProblemOracle, state: SolverState) -> SolverState:
-    if oracle.is_composite:
-        raise UnsupportedSolverError("nag handles smooth objectives; use apg/new_apg")
     gamma, mu, lip = state.gamma, oracle.mu, oracle.lip
     a = schedules.nag_alpha(gamma, lip)
     x_new = (state.y + a * state.v) / (1.0 + a)
@@ -285,6 +283,8 @@ class Method(NamedTuple):
     residual_sq: Callable = _grad_sq  # squared grad-norm residual of a stepped state
     # (oracle, l, r_sq) -> what slack and bound apply to
     bounded: Callable = lambda oracle, l, r_sq: l
+    # True: the step moves on grad_h alone, so run rejects a composite objective
+    smooth: bool = False
 
 
 def _unit_alpha(oracle, variant):
@@ -380,7 +380,7 @@ METHODS = {
     "gd": Method(
         step=lambda o, s, a: step_gd(o, s, a), weight="mu", centre="x",
         slack=_gd_slack, bound=_gd_bound,
-        default_alpha=lambda o, variant: 2.0 / (o.lip + o.mu)),
+        default_alpha=lambda o, variant: 2.0 / (o.lip + o.mu), smooth=True),
     "pg": Method(
         step=lambda o, s, a: step_pg(o, s, a), weight=None, centre="x",
         slack=_pg_slack, bound=_pg_bound, default_alpha=lambda o, variant: 1.0 / o.lip,
@@ -392,28 +392,29 @@ METHODS = {
     "hb_gs": Method(
         step=lambda o, s, a: step_hb_gs(o, s, a), weight="mu", centre="v",
         slack=_hb_gs_diagnostic, certificate=False, bound=_no_bound, blocks=("v",),
-        default_alpha=_unit_alpha),
+        default_alpha=_unit_alpha, smooth=True),
     "momentum": Method(
         step=lambda o, s, a: step_momentum(o, s, a), weight="mu", centre="v",
         slack=_alpha_slack, bound=_measured_bound, blocks=("v",),
-        default_alpha=lambda o, variant: schedules.momentum_alpha(o.mu, o.lip, variant)),
+        default_alpha=lambda o, variant: schedules.momentum_alpha(o.mu, o.lip, variant),
+        smooth=True),
     "avd_gs": Method(
         step=lambda o, s, a: step_avd(o, s, "gs", a), weight="gamma", centre="v",
         slack=_avd_gs_diagnostic, certificate=False, bound=_no_bound,
-        blocks=("v", "gamma"), default_alpha=_unit_alpha),
+        blocks=("v", "gamma"), default_alpha=_unit_alpha, smooth=True),
     "avd_grad": Method(
         step=lambda o, s, a: step_avd(o, s, "grad", a), weight="gamma", centre="v",
         slack=_contraction_slack, bound=_measured_bound, blocks=("v", "gamma"),
-        rho=_times_contraction),
+        rho=_times_contraction, smooth=True),
     "avd_extrap": Method(
         step=lambda o, s, a: step_avd(o, s, "extrap", a), weight="gamma", centre="v",
         slack=_contraction_slack, bound=_measured_bound, blocks=("v", "gamma"),
-        rho=_times_contraction),
+        rho=_times_contraction, smooth=True),
     # nag's certificate and rate bound hold for L - |grad f(x)|^2 / (2L)
     "nag": Method(
         step=lambda o, s, a: step_nag(o, s), weight="gamma", centre="v",
         slack=_alpha_slack, bound=_schedule_bound("nag"), blocks=("v", "y", "gamma"),
-        bounded=lambda o, l, r_sq: l - r_sq / (2.0 * o.lip)),
+        bounded=lambda o, l, r_sq: l - r_sq / (2.0 * o.lip), smooth=True),
     "apg": Method(
         step=lambda o, s, a: step_apg(o, s), weight="gamma", centre="v",
         slack=lambda o, old, new, q_old, q_new: (q_old - new.aux["resid_sq"] / (2.0 * o.lip))
@@ -488,6 +489,9 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
     norm is not finite, and reports its k as nonfinite_at_k.
     """
     method = _method(kind)
+    if method.smooth and oracle.is_composite:
+        raise UnsupportedSolverError(
+            f"{kind} handles smooth objectives; use pg, apg, apg_fast_grad or new_apg")
     state = init_state(oracle, kind, x0, v0, gamma0)
     if alpha is None:
         alpha = method.default_alpha(oracle, variant)

@@ -117,6 +117,23 @@ class TestBatchedStates:
             assert traj.gamma is None
 
     @pytest.mark.parametrize("kind", flows.FLOW_KINDS)
+    def test_integrate_spans_finiteness_blocks(self, kind):
+        oracle = make_quadratic([0.5, 1.0, 4.0], [1.0, -2.0, 0.3])
+        model = FlowModel(kind, oracle, beta_fn=lambda t: 0.25 + 0.5 * t)
+        st = FlowState(1.0, np.array([4.0, -3.0, 0.5]), v=np.array([0.5, 0.0, -1.0]),
+                       gamma=3.0)
+        t_end = 1.0 + (3 * flows.FINITE_CHECK_STEPS + 5) * 1e-3
+        traj = integrate(model, st, t_end, 1e-3)
+        times, ys = reference_rk4(model, st, t_end, 1e-3)
+        assert traj.t.size == 3 * flows.FINITE_CHECK_STEPS + 6
+        assert np.array_equal(traj.t, times)
+        assert np.array_equal(traj.x, ys[:, :3])
+        if model.has_v:
+            assert np.array_equal(traj.v, ys[:, 3:6])
+        if model.has_gamma:
+            assert np.array_equal(traj.gamma, ys[:, -1])
+
+    @pytest.mark.parametrize("kind", flows.FLOW_KINDS)
     def test_batched_field_matches_single_states(self, kind):
         model = FlowModel(kind, QUAD, beta_fn=lambda t: 0.25 + 0.5 * t)
         rng = np.random.default_rng(3)
@@ -172,6 +189,36 @@ class TestExactSolutions:
             with pytest.raises(DivergenceError) as info:
                 integrate(model, FlowState(0.0, np.array([1.0, 1.0])), 100.0, 0.5)
         assert np.all(np.isfinite(info.value.last_state.x))
+
+    @pytest.mark.parametrize("kind, dt, t_end", [("gradient", 3e-4, 1.8),
+                                                 ("scaled_gradient", 1e-3, 1.6)])
+    def test_divergence_after_first_block_matches_reference(self, kind, dt, t_end):
+        model = FlowModel(kind, make_quadratic([1.0, 1e4], [0.0, 0.0]))
+        st = FlowState(1.0, np.array([1.0, 1.0]), gamma=3.0)
+        with np.errstate(all="ignore"):
+            times, ys = reference_rk4(model, st, t_end, dt)
+            with pytest.raises(DivergenceError) as info:
+                integrate(model, st, t_end, dt)
+        row = int(np.flatnonzero(~np.isfinite(ys).all(axis=1))[0])
+        assert row > flows.FINITE_CHECK_STEPS
+        assert str(info.value) == f"integration diverged at t={times[row]:.6g}"
+        last = info.value.last_state
+        assert last.t == times[row - 1]
+        assert np.array_equal(last.x, ys[row - 1, :2])
+        if model.has_gamma:
+            assert last.gamma == ys[row - 1, -1]
+
+    def test_avd_negative_stage_gamma_diverges(self):
+        # h = 2 from t = 1, gamma = 4: the second stage's gamma is
+        # 4 - 1 * 4^1.5 < 0, whose square root is NaN
+        model = FlowModel("avd_r3", QUAD)
+        st = FlowState(1.0, np.ones(2), v=np.zeros(2), gamma=4.0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                integrate(model, st, 5.0, 2.0)
+        assert str(info.value) == "integration diverged at t=3"
+        assert info.value.last_state.t == 1.0
+        assert info.value.last_state.gamma == 4.0
 
 
 class TestDecayChecks:

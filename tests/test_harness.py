@@ -195,6 +195,13 @@ class TestRatesCommand:
         assert main(["rates", "--rule", "b0", "--r", "0.5",
                      "--mu-over-l", "1.0", "--kmax", "5"]) == 2
 
+    @pytest.mark.parametrize("rule", ["b0", "nag"])
+    def test_negative_kmax_exit_2(self, rule, capsys):
+        # b0 printed a passing empty table; nag raised from numpy
+        assert main(["rates", "--rule", rule, "--r", "1.0",
+                     "--mu-over-l", "0.0", "--kmax", "-1"]) == 2
+        assert "kmax" in capsys.readouterr().err
+
 
 class TestLogging:
     def test_invalid_level_exit_2(self, monkeypatch, capsys):
@@ -260,6 +267,23 @@ class TestRunFailsClosed:
             solvers.RunResult("gd", records, certified=True, violations=0))
         assert report["pass"] is False and report["max_bound_violation"] is None
         json.dumps(report, allow_nan=False)
+
+
+class TestSmoothOnlyKinds:
+    # each stepped on grad_h alone, dropping the l1 term, and reported a
+    # run with violations on most steps (or a NaN) as certified
+    @pytest.mark.parametrize("kind", ["gd", "momentum", "hb_gs", "avd_gs",
+                                      "avd_grad", "avd_extrap"])
+    def test_composite_objective_exit_2(self, tmp_path, capsys, kind):
+        rng = np.random.default_rng(0)
+        problem = {"kind": "lasso", "a_matrix": rng.standard_normal((9, 6)).tolist(),
+                   "b": rng.standard_normal(9).tolist(), "rho": 0.3}
+        cfg = {"problem": problem, "solver": kind, "iters": 300, "alpha": 0.1,
+               "out": str(tmp_path / "trace.csv")}
+        assert main(["run", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"{kind} handles smooth objectives" in captured.err
+        assert captured.out == "" and not (tmp_path / "trace.csv").exists()
 
 
 def csv_reference(header, rows) -> bytes:

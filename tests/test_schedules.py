@@ -57,6 +57,47 @@ class TestGammaRecursion:
         assert gamma_closed_form(2.0, 0.0, [1.0, 1.0]) == pytest.approx(2.0 / 5.0)
 
 
+def numpy_indexed_schedule(rule, gamma0, mu, lip, k_max):
+    """iterate_schedule as a loop over numpy element reads and writes."""
+    alpha_fn = schedules.STEP_RULES[rule]
+    gammas, rhos, alphas = np.empty(k_max + 1), np.empty(k_max + 1), np.empty(k_max)
+    gammas[0], rhos[0] = gamma0, 1.0
+    for k in range(k_max):
+        a = alpha_fn(gammas[k], lip)
+        alphas[k] = a
+        gammas[k + 1] = gamma_step(gammas[k], a, mu)
+        rhos[k + 1] = rhos[k] / (1.0 + a)
+    return alphas, gammas, rhos
+
+
+class TestIterateSchedule:
+    @pytest.mark.parametrize("rule", ["nag", "apg", "new_apg", "fast_grad"])
+    @pytest.mark.parametrize("r", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("q", [0.0, 1e-3])
+    def test_matches_numpy_indexed_loop(self, rule, r, q):
+        got = iterate_schedule(rule, r, q, 1.0, 1000)
+        want = numpy_indexed_schedule(rule, r, q, 1.0, 1000)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_steps_through_gamma_step(self, monkeypatch):
+        calls = []
+        step = schedules.gamma_step
+        monkeypatch.setattr(schedules, "gamma_step",
+                            lambda *a: calls.append(a) or step(*a))
+        iterate_schedule("nag", 1.0, 0.0, 1.0, 7)
+        assert len(calls) == 7
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ScheduleError):
+            iterate_schedule("nag", 1.0, 0.0, 1.0, -1)
+        with pytest.raises(ScheduleError):
+            iterate_schedule("nag", 1.0, 0.0, 0.0, 10)
+        alphas, gammas, rhos = iterate_schedule("apg", 1.0, 0.0, 1.0, 0)
+        assert alphas.shape == (0,) and gammas.tolist() == [1.0] and rhos.tolist() == [1.0]
+
+
 class TestStepRules:
     @given(st.floats(0.01, 100), st.floats(0.01, 100), st.floats(0, 5))
     @settings(max_examples=200, deadline=None)

@@ -124,7 +124,7 @@ class TestSingleSteps:
     def test_nag_rejects_composite(self):
         o = convex_lasso()
         with pytest.raises(UnsupportedSolverError):
-            solvers.step_nag(o, init_state(o, "nag", np.zeros(20)))
+            run(o, "nag", np.zeros(20))
 
     def test_nag_alpha_two_at_gamma_equals_lip(self):
         st = init_state(QUAD, "nag", np.array([2.0, 0.0]), gamma0=QUAD.lip)
