@@ -47,7 +47,7 @@ def main():
         for kind in kinds:
             res = solvers.run(oracle, kind, x0, iters=args.iters)
             harness.write_csv(os.path.join(args.out_dir, f"{pname}_{kind}.csv"),
-                              harness.RUN_HEADER, harness.run_rows(res.records))
+                              harness.RUN_HEADER, harness.run_rows(res))
             k6 = iters_to_ratio(res.records, 1e-6)
             rows.append((pname, kind, res.certified, res.violations,
                          "-" if k6 is None else k6,

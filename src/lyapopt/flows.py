@@ -206,8 +206,9 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     error names the first non-finite row, as a per-step check would; the
     rest of its block is computed and dropped.
     """
-    if dt <= 0 or t_end <= state0.t:
-        raise FlowError("need dt > 0 and t_end > t0")
+    # written so that a NaN fails it: every comparison with NaN is False
+    if not (0 < dt < math.inf and state0.t < t_end < math.inf):
+        raise FlowError("need a finite dt > 0 and a finite t_end > t0")
     _check_blocks(model, state0)
     n_steps = max(1, int(round((t_end - state0.t) / dt)))
     h = (t_end - state0.t) / n_steps

@@ -64,10 +64,12 @@ def write_csv(path, header, rows):
             fh.write(fmt % tuple(row))
 
 
-def run_rows(records):
-    """The trace CSV rows of a solvers.run result, in RUN_HEADER order."""
-    return ((r.k, r.f_gap, r.lyapunov, r.bound, r.slack, r.grad_norm, r.alpha, r.gamma)
-            for r in records)
+def run_rows(result):
+    """The trace CSV rows of a solvers.run result, in RUN_HEADER order,
+    read from its columns."""
+    t = result.trace
+    return zip(*(c.tolist() for c in (t.k, t.f_gap, t.lyapunov, t.bound, t.slack,
+                                      t.grad_norm, t.alpha, t.gamma)))
 
 
 def _setup_logging():
@@ -112,7 +114,7 @@ def cmd_run(config: dict) -> dict:
     )
     out = config.get("out")
     if out:
-        write_csv(out, RUN_HEADER, run_rows(result.records))
+        write_csv(out, RUN_HEADER, run_rows(result))
         log.info("trace written to %s", out)
     report = _run_report(result)
     log.info("run %s: %s", kind, "PASS" if report["pass"] else "FAIL")
@@ -123,19 +125,16 @@ def _run_report(result: solvers.RunResult) -> dict:
     """The run's verdict.  A non-finite value anywhere fails it: the run's
     own stop (nonfinite_at_k) and a NaN or infinite bound gap alike; such a
     gap is reported as a null max_bound_violation."""
-    max_violation = 0.0
-    for rec in result.records:
-        if math.isnan(rec.bound):
-            continue
-        gap = rec.bounded - rec.bound - 1e-9 * (1.0 + abs(rec.bound))
-        if math.isnan(gap):
-            max_violation = gap
-            break
-        max_violation = max(max_violation, gap)
+    t = result.trace
+    # a NaN bound is no bound; np.max keeps a NaN gap, which fails the run
+    has_bound = ~np.isnan(t.bound)
+    bound = t.bound[has_bound]
+    gaps = t.bounded[has_bound] - bound - 1e-9 * (1.0 + np.abs(bound))
+    max_violation = float(np.max(gaps, initial=0.0))
     finite = math.isfinite(max_violation)
     return {
         "kind": result.kind,
-        "iters": len(result.records) - 1,
+        "iters": len(t.k) - 1,
         "certified": result.certified,
         "cert_violations": result.violations,
         "max_bound_violation": max_violation if finite else None,

@@ -510,6 +510,12 @@ def sequence_decay_oracle(case: int, a0: float, alpha: float, k_max: int,
     """
     if case == 3 and alpha * a0 >= 1.0:
         raise SequenceParameterError("case 3 recursion needs alpha * a0 < 1")
+    if a0 < 0:
+        raise SequenceParameterError("need a0 >= 0")
+    if case in (1, 2):
+        # the bound is a0 times the k-th power of one step factor: kept as a
+        # running product, the same bits as the product over k factors
+        factor, product = sequence_decay(case, 1.0, [alpha], 1), 1.0
     rng = box_rng(seed)
     a = np.full(n_random + 1, float(a0))
     max_ratio = 0.0
@@ -519,7 +525,11 @@ def sequence_decay_oracle(case: int, a0: float, alpha: float, k_max: int,
         shed = rng.uniform(0.0, 0.1, size=n_random + 1) * nxt
         shed[0] = 0.0
         a = np.maximum(nxt - shed, 0.0)
-        bound = sequence_decay(case, a0, np.full(k, alpha) if case in (1, 2) else alpha, k)
+        if case in (1, 2):
+            product *= factor
+            bound = a0 * product
+        else:
+            bound = sequence_decay(case, a0, alpha, k)
         if bound > 0:
             max_ratio = max(max_ratio, float(a.max()) / bound)
     return {"case": case, "k_max": k_max, "max_ratio": max_ratio,

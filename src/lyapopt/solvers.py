@@ -1,10 +1,11 @@
 """Discrete optimization methods with per-iteration contraction certificates.
 
 Every solver is a single-step transition on a small state (x, and where
-needed v, y, gamma, alpha).  The run loop evaluates the method's Lyapunov
-function before and after each step, checks the proved per-iteration
-inequality, and compares the trajectory against the closed-form rate
-bound.  Certificate violations are flagged, never fatal: a violation is
+needed v, y, gamma, alpha).  The run loop steps RUN_BLOCK steps at a time;
+for each block it evaluates the method's Lyapunov function at every
+iterate, checks the proved per-iteration inequality, and compares the
+trajectory against the closed-form rate bound, one array expression per
+column.  Certificate violations are flagged, never fatal: a violation is
 the most useful thing a run can report.
 """
 
@@ -12,14 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import schedules
-from .problems import ProblemOracle
+from .problems import ProblemOracle, rowdot
 
 CERT_TOL = 1e-9
+# steps per block of the run loop: the steps run one after another, and each
+# block's certificate columns are computed at once
+RUN_BLOCK = 256
 
 class UnsupportedSolverError(ValueError):
     """Solver/problem pair outside the method's assumptions."""
@@ -38,8 +43,7 @@ class SolverState:
     grad: Optional[np.ndarray] = None
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     k: int
     f_gap: float
     lyapunov: float
@@ -56,12 +60,18 @@ class TraceRecord:
 @dataclass
 class RunResult:
     kind: str
-    records: list
+    # the trace as columns: a TraceRecord whose fields are arrays over k
+    trace: TraceRecord
     certified: bool
     violations: int
     # k of the first record whose f_gap, Lyapunov value or grad norm is not
     # finite; the run stops there and that record is the last
     nonfinite_at_k: Optional[int] = None
+
+    @cached_property
+    def records(self) -> list:
+        """The trace as one TraceRecord of Python numbers per k."""
+        return list(map(TraceRecord._make, zip(*(c.tolist() for c in self.trace))))
 
 
 def _vec(x) -> np.ndarray:
@@ -255,10 +265,84 @@ def momentum_two_sequence(oracle: ProblemOracle, x0, v0, variant: str, iters: in
 # ---------------------------------------------------------------------------
 # The method table: one record per kind with the parts of the unified
 # analysis (step, Lyapunov function, per-step inequality, rate bound).
+# Its certificate parts are column functions: they take a Block of stepped
+# states and give one value per row.
 # ---------------------------------------------------------------------------
 
-def _grad_sq(oracle, state):
-    return _sq(_grad(oracle, state))
+class Block:
+    """States stepped one after another, read as columns, each built once.
+    prev is the state the first of them stepped from (None for the start
+    state alone)."""
+
+    def __init__(self, oracle: ProblemOracle, prev: Optional[SolverState], states: list):
+        self.oracle, self.prev, self.states = oracle, prev, states
+        self._cols = {}
+
+    def _column(self, key, build) -> np.ndarray:
+        if key not in self._cols:
+            self._cols[key] = build()
+        return self._cols[key]
+
+    def col(self, name: str, old: bool = False) -> np.ndarray:
+        """The states' field name stacked, None as NaN; with old, the field
+        of the state each one stepped from."""
+        states = [self.prev] + self.states[:-1] if old else self.states
+        return self._column((name, old), lambda: np.array(
+            [getattr(s, name) for s in states], dtype=float))
+
+    def aux(self, name: str) -> np.ndarray:
+        return self._column(("aux", name), lambda: np.array(
+            [s.aux[name] for s in self.states], dtype=float))
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.col("x")
+
+    @property
+    def grad(self) -> np.ndarray:
+        """grad_h at each row's x: the gradient its state carries, or one
+        batched call for the rows that carry none.  The last state keeps its
+        gradient, since the next block steps from it."""
+        return self._column("grad", self._grads)
+
+    def _grads(self) -> np.ndarray:
+        carried = np.array([s.grad is not None for s in self.states])
+        grad = np.empty_like(self.x)
+        if carried.any():
+            grad[carried] = [s.grad for s in self.states if s.grad is not None]
+        if not carried.all():
+            grad[~carried] = self.oracle.grad_h(self.x[~carried])
+        if self.states[-1].grad is None:
+            self.states[-1].grad = grad[-1]
+        return grad
+
+    def keep(self, n: int) -> None:
+        """Drop every row after the first n."""
+        self.states = self.states[:n]
+        self._cols = {key: c[:n] for key, c in self._cols.items()}
+
+
+def _rowsq(d) -> np.ndarray:
+    return rowdot(d, d)
+
+
+def _grad_sq(oracle, block):
+    return _rowsq(block.grad)
+
+
+def _divided(rho: float, d) -> np.ndarray:
+    """rho divided by each entry of d in turn: the factor after each row."""
+    return np.divide.accumulate(np.concatenate(([rho], d)))[1:]
+
+
+def _nans(ks) -> np.ndarray:
+    return np.full(len(ks), math.nan)
+
+
+def _powers(q0: float, base: float, exponents) -> np.ndarray:
+    """q0 * base ** e for each e, in Python floats: numpy's power may round
+    the last place differently."""
+    return np.array([q0 * base ** e for e in exponents], dtype=float)
 
 
 class Method(NamedTuple):
@@ -270,17 +354,21 @@ class Method(NamedTuple):
     step: Callable  # (oracle, state, alpha) -> the next state
     weight: Optional[str]
     centre: str  # the state block the Lyapunov value measures: "x" or "v"
-    # (oracle, old, new, q_old, q_new) -> the per-step inequality's slack,
-    # None outside the certified range
+    # (oracle, block, q_old, q_new) -> the per-step inequality's slack per row
     slack: Callable
-    bound: Callable  # (oracle, gamma0, alpha, k, rho, q0) -> the rate bound at k
+    # (oracle, gamma0, alpha, ks, rho, q0) -> the rate bound at each k of ks
+    bound: Callable
     # state blocks init_state sets beside x: "v", "gamma", "alpha" and "y",
     # a gradient step from x0
     blocks: tuple = ()
     certificate: bool = True  # False: slack is a diagnostic, and certifies nothing
+    # (oracle, alpha) -> whether slack certifies a run with this alpha; a
+    # run outside that range is uncertified and records no slack
+    in_range: Callable = lambda oracle, alpha: True
     default_alpha: Callable = lambda oracle, variant: None
-    rho: Callable = lambda rho, new: rho / (1.0 + new.alpha)  # the factor after a step
-    residual_sq: Callable = _grad_sq  # squared grad-norm residual of a stepped state
+    # (rho, block) -> the contraction factor after each row, from rho before
+    rho: Callable = lambda rho, block: _divided(rho, 1.0 + block.col("alpha"))
+    residual_sq: Callable = _grad_sq  # squared grad-norm residual per row
     # (oracle, l, r_sq) -> what slack and bound apply to
     bounded: Callable = lambda oracle, l, r_sq: l
     # True: the step moves on grad_h alone, so run rejects a composite objective
@@ -291,82 +379,81 @@ def _unit_alpha(oracle, variant):
     return 1.0
 
 
-def _gd_slack(oracle, old, new, q_old, q_new):
-    a = new.alpha
-    if a <= 0 or a > 2.0 / (oracle.lip + oracle.mu) + 1e-15:
-        return None
-    return (1.0 - oracle.mu * a) * q_old - q_new
+def _gd_in_range(oracle, alpha):
+    return not (alpha <= 0 or alpha > 2.0 / (oracle.lip + oracle.mu) + 1e-15)
 
 
-def _gd_bound(oracle, gamma0, alpha, k, rho, q0):
+def _gd_bound(oracle, gamma0, alpha, ks, rho, q0):
     if alpha > 2.0 / (oracle.lip + oracle.mu) + 1e-15:
-        return math.nan
-    return q0 * (1.0 - oracle.mu * alpha) ** k
+        return _nans(ks)
+    return _powers(q0, 1.0 - oracle.mu * alpha, ks)
 
 
-def _pg_slack(oracle, old, new, q_old, q_new):
+def _pg_in_range(oracle, alpha):
+    return (not abs(alpha - 1.0 / oracle.lip) > 1e-15
+            and (oracle.mu > 0 or oracle.radius_r0 is not None))
+
+
+def _pg_slack(oracle, b, q_old, q_new):
     mu, lip = oracle.mu, oracle.lip
-    if abs(new.alpha - 1.0 / lip) > 1e-15:
-        return None
     if mu > 0:
         return q_old / (1.0 + mu / lip) - q_new
-    if oracle.radius_r0 is None:
-        return None
     c2 = 1.0 / (2.0 * lip * oracle.radius_r0 ** 2)
     return q_old - c2 * q_new * q_new - q_new
 
 
-def _pg_bound(oracle, gamma0, alpha, k, rho, q0):
+def _pg_bound(oracle, gamma0, alpha, ks, rho, q0):
     mu, lip = oracle.mu, oracle.lip
     if mu > 0:
-        return q0 * (1.0 + mu / lip) ** (-k)
+        return _powers(q0, 1.0 + mu / lip, [-k for k in ks])
     if oracle.radius_r0 is None:
-        return math.nan
+        return _nans(ks)
     c2 = 1.0 / (2.0 * lip * oracle.radius_r0 ** 2)
     delta = c2 * q0 / (1.0 + c2 * q0)
-    return (1.0 + delta) * q0 / (1.0 + c2 * q0 * k)
+    return (1.0 + delta) * q0 / (1.0 + c2 * q0 * np.array(ks))
 
 
-def _alpha_slack(oracle, old, new, q_old, q_new):
-    return q_old / (1.0 + new.alpha) - q_new
+def _alpha_slack(oracle, b, q_old, q_new):
+    return q_old / (1.0 + b.col("alpha")) - q_new
 
 
-def _contraction_slack(oracle, old, new, q_old, q_new):
-    return new.aux["contraction"] * q_old - q_new
+def _contraction_slack(oracle, b, q_old, q_new):
+    return b.aux("contraction") * q_old - q_new
 
 
-def _hb_gs_diagnostic(oracle, old, new, l_old, l_new):
-    a = new.alpha
-    rhs = l_old - a * l_new + a * a / (2.0 * oracle.mu) * _sq(new.grad)
+def _hb_gs_diagnostic(oracle, b, l_old, l_new):
+    a = b.col("alpha")
+    rhs = l_old - a * l_new + a * a / (2.0 * oracle.mu) * _rowsq(b.grad)
     return rhs - l_new
 
 
-def _avd_gs_diagnostic(oracle, old, new, l_old, l_new):
-    a, sg = new.alpha, math.sqrt(old.gamma)
-    rhs = l_old - a * sg * l_new + a * a / 2.0 * _sq(new.grad)
+def _avd_gs_diagnostic(oracle, b, l_old, l_new):
+    a, sg = b.col("alpha"), np.sqrt(b.col("gamma", old=True))
+    rhs = l_old - a * sg * l_new + a * a / 2.0 * _rowsq(b.grad)
     return rhs - l_new
 
 
-def _measured_bound(oracle, gamma0, alpha, k, rho, q0):
+def _measured_bound(oracle, gamma0, alpha, ks, rho, q0):
     return q0 * rho
 
 
-def _no_bound(oracle, gamma0, alpha, k, rho, q0):
-    return math.nan
+def _no_bound(oracle, gamma0, alpha, ks, rho, q0):
+    return _nans(ks)
 
 
 def _schedule_bound(rule: str) -> Callable:
-    """q0 times the step rule's closed-form factor bound."""
-    def bound(oracle, gamma0, alpha, k, rho, q0):
+    """q0 times the step rule's closed-form factor bound, one call per k."""
+    def bound(oracle, gamma0, alpha, ks, rho, q0):
         try:
-            return q0 * schedules.rho_bound(rule, gamma0, oracle.mu, oracle.lip, k)
+            return np.array([q0 * schedules.rho_bound(rule, gamma0, oracle.mu, oracle.lip, k)
+                             for k in ks], dtype=float)
         except schedules.ScheduleError:
-            return math.nan
+            return _nans(ks)
     return bound
 
 
-def _times_contraction(rho, new):
-    return rho * new.aux["contraction"]
+def _times_contraction(rho, b):
+    return np.multiply.accumulate(np.concatenate(([rho], b.aux("contraction"))))[1:]
 
 
 # A step is called through its module-level name, looked up at call time,
@@ -374,17 +461,19 @@ def _times_contraction(rho, new):
 METHODS = {
     "ppa": Method(
         step=lambda o, s, a: step_ppa(o, s, a), weight="mu", centre="x",
-        slack=lambda o, old, new, q_old, q_new: q_old / (1.0 + o.mu * new.alpha) - q_new,
-        bound=lambda o, g0, a, k, rho, q0: q0 * (1.0 + o.mu * a) ** (-k),
+        slack=lambda o, b, q_old, q_new: q_old / (1.0 + o.mu * b.col("alpha")) - q_new,
+        bound=lambda o, g0, a, ks, rho, q0: _powers(q0, 1.0 + o.mu * a, [-k for k in ks]),
         default_alpha=_unit_alpha),
     "gd": Method(
         step=lambda o, s, a: step_gd(o, s, a), weight="mu", centre="x",
-        slack=_gd_slack, bound=_gd_bound,
+        slack=lambda o, b, q_old, q_new: (1.0 - o.mu * b.col("alpha")) * q_old - q_new,
+        in_range=_gd_in_range, bound=_gd_bound,
         default_alpha=lambda o, variant: 2.0 / (o.lip + o.mu), smooth=True),
     "pg": Method(
         step=lambda o, s, a: step_pg(o, s, a), weight=None, centre="x",
-        slack=_pg_slack, bound=_pg_bound, default_alpha=lambda o, variant: 1.0 / o.lip,
-        residual_sq=lambda o, s: _sq(s.aux["d_next"])),
+        slack=_pg_slack, in_range=_pg_in_range, bound=_pg_bound,
+        default_alpha=lambda o, variant: 1.0 / o.lip,
+        residual_sq=lambda o, b: _rowsq(b.aux("d_next"))),
     "scaled_ppa": Method(
         step=lambda o, s, a: step_scaled_ppa(o, s, a), weight="gamma", centre="x",
         slack=_alpha_slack, bound=_measured_bound, blocks=("gamma",),
@@ -417,20 +506,20 @@ METHODS = {
         bounded=lambda o, l, r_sq: l - r_sq / (2.0 * o.lip), smooth=True),
     "apg": Method(
         step=lambda o, s, a: step_apg(o, s), weight="gamma", centre="v",
-        slack=lambda o, old, new, q_old, q_new: (q_old - new.aux["resid_sq"] / (2.0 * o.lip))
-        / (1.0 + new.aux["step_alpha"]) - q_new,
+        slack=lambda o, b, q_old, q_new: (q_old - b.aux("resid_sq") / (2.0 * o.lip))
+        / (1.0 + b.aux("step_alpha")) - q_new,
         bound=_schedule_bound("b0"), blocks=("v", "y", "gamma", "alpha"),
-        rho=lambda rho, new: rho / (1.0 + new.aux["step_alpha"])),
+        rho=lambda rho, b: _divided(rho, 1.0 + b.aux("step_alpha"))),
     "apg_fast_grad": Method(
         step=lambda o, s, a: step_apg_fast_grad(o, s), weight="gamma", centre="v",
-        slack=lambda o, old, new, q_old, q_new: (q_old - new.aux["d_next_sq"] / (4.0 * o.lip))
-        / (1.0 + new.alpha) - q_new,
+        slack=lambda o, b, q_old, q_new: (q_old - b.aux("d_next_sq") / (4.0 * o.lip))
+        / (1.0 + b.col("alpha")) - q_new,
         bound=_schedule_bound("fast_grad"), blocks=("v", "gamma"),
-        residual_sq=lambda o, s: s.aux["d_next_sq"]),
+        residual_sq=lambda o, b: b.aux("d_next_sq")),
     "new_apg": Method(
         step=lambda o, s, a: step_new_apg(o, s), weight="gamma", centre="v",
         slack=_alpha_slack, bound=_schedule_bound("b_half"), blocks=("v", "gamma"),
-        residual_sq=lambda o, s: _sq(s.aux["d_f"])),
+        residual_sq=lambda o, b: _rowsq(b.aux("d_f"))),
 }
 
 SOLVER_KINDS = tuple(METHODS)
@@ -445,19 +534,6 @@ def _method(kind: str) -> Method:
     if method is None:
         raise UnsupportedSolverError(f"unknown solver kind: {kind!r}")
     return method
-
-
-def _gap(oracle: ProblemOracle, x) -> float:
-    return oracle.eval_f(x) - oracle.f_star
-
-
-def _lyapunov(oracle: ProblemOracle, method: Method, state: SolverState,
-              gap: float) -> float:
-    """The method's Lyapunov value at state, given gap = f(state.x) - f*."""
-    if method.weight is None:
-        return gap
-    weight = oracle.mu if method.weight == "mu" else state.gamma
-    return gap + 0.5 * weight * _sq(getattr(state, method.centre) - oracle.x_star)
 
 
 def init_state(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None) -> SolverState:
@@ -476,8 +552,45 @@ def init_state(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None) -> So
     return state
 
 
-def _finite(gap: float, lyap: float, gnorm: float) -> bool:
-    return math.isfinite(gap) and math.isfinite(lyap) and math.isfinite(gnorm)
+def _values(oracle: ProblemOracle, method: Method, block: Block, residual_sq: Callable):
+    """Each row's f - f*, Lyapunov value and grad norm, with the squared
+    residual the norm is taken of."""
+    gap = oracle.eval_f(block.x) - oracle.f_star
+    lyap = gap
+    if method.weight is not None:
+        weight = oracle.mu if method.weight == "mu" else block.col("gamma")
+        d = (block.x if method.centre == "x" else block.col(method.centre)) - oracle.x_star
+        lyap = gap + 0.5 * weight * _rowsq(d)
+    r_sq = residual_sq(oracle, block)
+    return gap, lyap, np.sqrt(r_sq), r_sq
+
+
+def _first_stop(gap, lyap, gnorm, stop_grad_tol):
+    """(i, nonfinite) for the first row i whose values are not all finite
+    (nonfinite True) or whose grad norm is below stop_grad_tol; None if no
+    row stops the run."""
+    finite = np.isfinite(gap) & np.isfinite(lyap) & np.isfinite(gnorm)
+    stop = ~finite if stop_grad_tol is None else ~finite | (gnorm < stop_grad_tol)
+    if not stop.any():
+        return None
+    i = int(stop.argmax())
+    return i, not finite[i]
+
+
+def _steps(oracle: ProblemOracle, method: Method, state: SolverState, alpha, n: int):
+    """Up to n steps from state, one after another: the states they make,
+    and the exception that cut them short (None if none did)."""
+    states = []
+    for _ in range(n):
+        try:
+            state = method.step(oracle, state, alpha)
+        # whatever a step raises is held: if a row before it stops the run,
+        # the run ends there and never reaches this step; run re-raises it
+        # otherwise
+        except Exception as exc:
+            return states, exc
+        states.append(state)
+    return states, None
 
 
 def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
@@ -485,8 +598,13 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
         variant: str = "sqrt", stop_grad_tol: Optional[float] = None) -> RunResult:
     """Run a solver and record the Lyapunov trace with certificate slacks.
 
-    The run stops at the first record whose f_gap, Lyapunov value or grad
-    norm is not finite, and reports its k as nonfinite_at_k.
+    The steps run one after another, RUN_BLOCK at a time, and each block's
+    certificate columns are then computed at once.  The run stops at the
+    first record whose f_gap, Lyapunov value or grad norm is not finite,
+    and reports its k as nonfinite_at_k, or at the first record whose grad
+    norm is below stop_grad_tol; later rows of its block are dropped.  A
+    step that raises ends the run with its exception unless a row before it
+    stops the run.
     """
     method = _method(kind)
     if method.smooth and oracle.is_composite:
@@ -496,47 +614,60 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
     if alpha is None:
         alpha = method.default_alpha(oracle, variant)
     gamma0 = state.gamma
-    gap = _gap(oracle, state.x)
-    l_cur = _lyapunov(oracle, method, state, gap)
+    start = Block(oracle, None, [state])
     # no step has made a residual yet: the start's is its gradient
-    r_sq = _grad_sq(oracle, state)
-    q0 = q_cur = method.bounded(oracle, l_cur, r_sq)
-    rho = 1.0
+    gap, l_cur, gnorm, r_sq = _values(oracle, method, start, _grad_sq)
+    q_cur = method.bounded(oracle, l_cur, r_sq)
+    q0, rho = float(q_cur[0]), 1.0
+    columns = [TraceRecord(
+        k=np.zeros(1, dtype=int), f_gap=gap, lyapunov=l_cur,
+        bound=method.bound(oracle, gamma0, alpha, range(1), np.ones(1), q0),
+        slack=np.full(1, math.nan), grad_norm=gnorm, alpha=np.full(1, math.nan),
+        gamma=start.col("gamma"), bounded=q_cur)]
+    in_range = method.in_range(oracle, alpha)
     certified = True
     violations = 0
-    gnorm = math.sqrt(r_sq)
-    records = [TraceRecord(
-        k=0, f_gap=gap, lyapunov=l_cur,
-        bound=method.bound(oracle, gamma0, alpha, 0, rho, q0),
-        slack=math.nan, grad_norm=gnorm, alpha=math.nan,
-        gamma=math.nan if state.gamma is None else state.gamma, bounded=q0)]
-    nonfinite_at_k = None if _finite(gap, l_cur, gnorm) else 0
-    for _ in range(iters if nonfinite_at_k is None else 0):
-        new = method.step(oracle, state, alpha)
-        gap = _gap(oracle, new.x)
-        l_new = _lyapunov(oracle, method, new, gap)
-        r_sq = method.residual_sq(oracle, new)
-        q_new = method.bounded(oracle, l_new, r_sq)
-        rho = method.rho(rho, new)
-        slack = method.slack(oracle, state, new, q_cur, q_new)
-        if slack is None:
-            certified = False
-            slack = math.nan
-        elif not method.certificate:
-            certified = False
-        elif not slack >= -CERT_TOL * (1.0 + abs(l_cur)):
-            violations += 1
-        gnorm = math.sqrt(r_sq)
-        records.append(TraceRecord(
-            k=new.k, f_gap=gap, lyapunov=l_new,
-            bound=method.bound(oracle, gamma0, alpha, new.k, rho, q0),
-            slack=slack, grad_norm=gnorm, alpha=new.alpha,
-            gamma=math.nan if new.gamma is None else new.gamma, bounded=q_new))
-        if not _finite(gap, l_new, gnorm):
-            nonfinite_at_k = new.k
+    nonfinite_at_k = None if _first_stop(gap, l_cur, gnorm, None) is None else 0
+    done = 0 if nonfinite_at_k is None else iters
+    while done < iters:
+        states, raised = _steps(oracle, method, state, alpha, min(RUN_BLOCK, iters - done))
+        stop = None
+        if states:
+            block = Block(oracle, state, states)
+            gap, lyap, gnorm, r_sq = _values(oracle, method, block, method.residual_sq)
+            stop = _first_stop(gap, lyap, gnorm, stop_grad_tol)
+            if stop is not None:
+                end, nonfinite = stop[0] + 1, stop[1]
+                block.keep(end)
+                gap, lyap, gnorm, r_sq = gap[:end], lyap[:end], gnorm[:end], r_sq[:end]
+                if nonfinite:
+                    nonfinite_at_k = done + end
+            n = len(block.states)
+            q = method.bounded(oracle, lyap, r_sq)
+            if not in_range:
+                certified = False
+                slack = np.full(n, math.nan)
+            else:
+                slack = method.slack(oracle, block, np.concatenate((q_cur[-1:], q[:-1])), q)
+                if not method.certificate:
+                    certified = False
+                else:
+                    l_old = np.concatenate((l_cur[-1:], lyap[:-1]))
+                    violations += int(np.count_nonzero(
+                        ~(slack >= -CERT_TOL * (1.0 + np.abs(l_old)))))
+            rhos = method.rho(rho, block)
+            ks = range(done + 1, done + n + 1)
+            columns.append(TraceRecord(
+                k=np.arange(ks.start, ks.stop), f_gap=gap, lyapunov=lyap,
+                bound=method.bound(oracle, gamma0, alpha, ks, rhos, q0),
+                slack=slack, grad_norm=gnorm, alpha=block.col("alpha"),
+                gamma=block.col("gamma"), bounded=q))
+            state, l_cur, q_cur, rho = block.states[-1], lyap, q, float(rhos[-1])
+            done += n
+        if stop is not None:
             break
-        state, l_cur, q_cur = new, l_new, q_new
-        if stop_grad_tol is not None and gnorm < stop_grad_tol:
-            break
-    return RunResult(kind=kind, records=records, certified=certified,
+        if raised is not None:
+            raise raised
+    trace = TraceRecord(*(np.concatenate(c) for c in zip(*columns)))
+    return RunResult(kind=kind, trace=trace, certified=certified,
                      violations=violations, nonfinite_at_k=nonfinite_at_k)

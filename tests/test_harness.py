@@ -115,6 +115,18 @@ class TestFlowCommand:
         assert code == 1
         assert not json.loads(capsys.readouterr().out)["pass"]
 
+    @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--dt", "inf"),
+                                             ("--t-end", "nan"), ("--t-end", "inf")])
+    def test_nonfinite_interval_exit_2(self, tmp_path, capsys, flag, value):
+        # a NaN dt or t_end passed the interval check, and int(round(...))
+        # then raised a bare ValueError or OverflowError (exit 1)
+        problem = write_json(tmp_path / "p.json", QUAD_PROBLEM)
+        args = {"--t-end": "5", "--dt": "0.01", flag: value}
+        assert main(["flow", "--model", "gradient", "--problem", problem,
+                     "--t-end", args["--t-end"], "--dt", args["--dt"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
     def test_unknown_model_exit_2(self, tmp_path):
         problem = write_json(tmp_path / "p.json", QUAD_PROBLEM)
         assert main(["flow", "--model", "verlet", "--problem", problem,
@@ -263,8 +275,9 @@ class TestRunFailsClosed:
     def test_nan_bound_gap_fails(self):
         records = [solvers.TraceRecord(k, 1.0, value, 2.0, 0.0, 1.0, 0.5, math.nan, value)
                    for k, value in enumerate([1.0, math.nan, 0.5])]
+        trace = solvers.TraceRecord(*map(np.array, zip(*records)))
         report = harness._run_report(
-            solvers.RunResult("gd", records, certified=True, violations=0))
+            solvers.RunResult("gd", trace, certified=True, violations=0))
         assert report["pass"] is False and report["max_bound_violation"] is None
         json.dumps(report, allow_nan=False)
 
@@ -309,7 +322,7 @@ class TestTraceWriter:
         for kind in ("gd", "nag", "hb_gs"):
             alpha = 0.5 if kind == "hb_gs" else None
             res = solvers.run(quad, kind, [4.0, -3.0], iters=40, alpha=alpha)
-            rows = list(harness.run_rows(res.records))
+            rows = list(harness.run_rows(res))
             assert any(math.isnan(v) for row in rows for v in row)
             self.check(tmp_path, harness.RUN_HEADER, rows)
         self.check(tmp_path, harness.RUN_HEADER,

@@ -287,6 +287,16 @@ class TestSequenceDecay:
         with pytest.raises(SequenceParameterError):
             sequence_decay_oracle(3, 2.0, 1.0, 10)
 
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_oracle_rejects_negative_start(self, case):
+        with pytest.raises(SequenceParameterError):
+            sequence_decay_oracle(case, -1.0, 0.5, 10)
+
+    @pytest.mark.parametrize("case, alpha", [(1, 1.0), (1, -0.5), (2, -0.5)])
+    def test_oracle_rejects_step_factor_out_of_range(self, case, alpha):
+        with pytest.raises(SequenceParameterError):
+            sequence_decay_oracle(case, 1.0, alpha, 10)
+
     def test_unknown_case_rejected(self):
         with pytest.raises(SequenceParameterError):
             sequence_decay(5, 1.0, 0.1, 1)

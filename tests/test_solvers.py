@@ -314,15 +314,16 @@ class TestRatesAndRunLoop:
 
 
 def counting(oracle):
-    """oracle with grad_h and eval_f wrapped to count their calls."""
+    """oracle with grad_h and eval_f wrapped to count the points they are
+    called on: 1 for a point, n for a batch of n."""
     calls = Counter()
 
     def counted(name):
         fn = getattr(oracle, name)
 
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
+        def call(x, *args):
+            calls[name] += x.shape[0] if np.ndim(x) == 2 else 1
+            return fn(x, *args)
         return call
 
     return dataclasses.replace(oracle, grad_h=counted("grad_h"),
@@ -334,18 +335,21 @@ COMPOSITE_KINDS = ("pg", "apg", "new_apg", "apg_fast_grad")
 
 
 class TestOracleCallsPerIteration:
-    """Each iteration evaluates f once (the gap serves the Lyapunov value
-    and the record) and grad_h once per point the method visits: a second
-    time only where the step's gradient is taken off the new iterate."""
+    """Each iteration evaluates f at one point (the gap serves the Lyapunov
+    value and the record) and grad_h once per point the method visits: a
+    second time only where the step's gradient is taken off the new
+    iterate.  A batched call counts each of its points."""
 
     def per_iter(self, oracle, kind):
+        # the runs end in the second and third block, so a gradient that
+        # the next block's first step takes again would count
         calls = []
-        for iters in (10, 30):
+        for iters in (260, 600):
             counted, count = counting(oracle)
             res = run(counted, kind, oracle.x_star + 2.0, iters=iters)
             assert res.nonfinite_at_k is None and len(res.records) == iters + 1
             calls.append(count)
-        return {name: (calls[1][name] - calls[0][name]) / 20 for name in ("grad_h", "eval_f")}
+        return {name: (calls[1][name] - calls[0][name]) / 340 for name in ("grad_h", "eval_f")}
 
     @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
     def test_quadratic(self, kind):
@@ -391,7 +395,8 @@ class TestFailClosed:
 
     def test_nan_slack_is_a_violation(self, monkeypatch):
         monkeypatch.setitem(solvers.METHODS, "gd",
-                            solvers.METHODS["gd"]._replace(slack=lambda *args: math.nan))
+                            solvers.METHODS["gd"]._replace(
+                                slack=lambda o, b, q_old, q_new: np.full(q_new.size, math.nan)))
         res = run(QUAD, "gd", [4.0, -3.0], iters=7)
         assert res.certified and res.violations == 7
 
@@ -426,3 +431,305 @@ class TestTableProperty:
             report = harness.cmd_run({"problem": problem, "solver": kind, "x0": x0})
             assert report["certified"] and report["cert_violations"] == 0, (kind, report)
             assert report["nonfinite_at_k"] is None and report["pass"], (kind, report)
+
+
+# ---------------------------------------------------------------------------
+# The block run loop against a reference copy of the per-step loop it
+# replaced: one step, one record and one certificate check at a time, with
+# each kind's certificate parts written per step.
+# ---------------------------------------------------------------------------
+
+def _ref_sq(d):
+    return float(np.dot(d, d))
+
+
+def _ref_grad_sq(o, s):
+    if s.grad is None:
+        s.grad = o.grad_h(s.x)
+    return _ref_sq(s.grad)
+
+
+def _ref_schedule_bound(rule):
+    def bound(o, g0, a, k, rho, q0):
+        try:
+            return q0 * schedules.rho_bound(rule, g0, o.mu, o.lip, k)
+        except schedules.ScheduleError:
+            return math.nan
+    return bound
+
+
+def _ref_gd_slack(o, old, new, q_old, q_new):
+    a = new.alpha
+    if a <= 0 or a > 2.0 / (o.lip + o.mu) + 1e-15:
+        return None
+    return (1.0 - o.mu * a) * q_old - q_new
+
+
+def _ref_gd_bound(o, g0, a, k, rho, q0):
+    if a > 2.0 / (o.lip + o.mu) + 1e-15:
+        return math.nan
+    return q0 * (1.0 - o.mu * a) ** k
+
+
+def _ref_pg_slack(o, old, new, q_old, q_new):
+    if abs(new.alpha - 1.0 / o.lip) > 1e-15:
+        return None
+    if o.mu > 0:
+        return q_old / (1.0 + o.mu / o.lip) - q_new
+    if o.radius_r0 is None:
+        return None
+    c2 = 1.0 / (2.0 * o.lip * o.radius_r0 ** 2)
+    return q_old - c2 * q_new * q_new - q_new
+
+
+def _ref_pg_bound(o, g0, a, k, rho, q0):
+    if o.mu > 0:
+        return q0 * (1.0 + o.mu / o.lip) ** (-k)
+    if o.radius_r0 is None:
+        return math.nan
+    c2 = 1.0 / (2.0 * o.lip * o.radius_r0 ** 2)
+    delta = c2 * q0 / (1.0 + c2 * q0)
+    return (1.0 + delta) * q0 / (1.0 + c2 * q0 * k)
+
+
+def _ref_alpha_slack(o, old, new, q_old, q_new):
+    return q_old / (1.0 + new.alpha) - q_new
+
+
+def _ref_contraction_slack(o, old, new, q_old, q_new):
+    return new.aux["contraction"] * q_old - q_new
+
+
+def _ref_hb_gs(o, old, new, l_old, l_new):
+    a = new.alpha
+    return l_old - a * l_new + a * a / (2.0 * o.mu) * _ref_sq(new.grad) - l_new
+
+
+def _ref_avd_gs(o, old, new, l_old, l_new):
+    a, sg = new.alpha, math.sqrt(old.gamma)
+    return l_old - a * sg * l_new + a * a / 2.0 * _ref_sq(new.grad) - l_new
+
+
+def _ref_measured(o, g0, a, k, rho, q0):
+    return q0 * rho
+
+
+def _ref_none(o, g0, a, k, rho, q0):
+    return math.nan
+
+
+def _ref_divide(rho, new):
+    return rho / (1.0 + new.alpha)
+
+
+def _ref_contract(rho, new):
+    return rho * new.aux["contraction"]
+
+
+def _ref_identity(o, l, r_sq):
+    return l
+
+
+# kind -> (slack, bound, rho, residual_sq, bounded)
+REFERENCE_CERTIFICATES = {
+    "ppa": (lambda o, old, new, q_old, q_new: q_old / (1.0 + o.mu * new.alpha) - q_new,
+            lambda o, g0, a, k, rho, q0: q0 * (1.0 + o.mu * a) ** (-k),
+            _ref_divide, _ref_grad_sq, _ref_identity),
+    "gd": (_ref_gd_slack, _ref_gd_bound, _ref_divide, _ref_grad_sq, _ref_identity),
+    "pg": (_ref_pg_slack, _ref_pg_bound, _ref_divide,
+           lambda o, s: _ref_sq(s.aux["d_next"]), _ref_identity),
+    "scaled_ppa": (_ref_alpha_slack, _ref_measured, _ref_divide, _ref_grad_sq, _ref_identity),
+    "hb_gs": (_ref_hb_gs, _ref_none, _ref_divide, _ref_grad_sq, _ref_identity),
+    "momentum": (_ref_alpha_slack, _ref_measured, _ref_divide, _ref_grad_sq, _ref_identity),
+    "avd_gs": (_ref_avd_gs, _ref_none, _ref_divide, _ref_grad_sq, _ref_identity),
+    "avd_grad": (_ref_contraction_slack, _ref_measured, _ref_contract, _ref_grad_sq,
+                 _ref_identity),
+    "avd_extrap": (_ref_contraction_slack, _ref_measured, _ref_contract, _ref_grad_sq,
+                   _ref_identity),
+    "nag": (_ref_alpha_slack, _ref_schedule_bound("nag"), _ref_divide, _ref_grad_sq,
+            lambda o, l, r_sq: l - r_sq / (2.0 * o.lip)),
+    "apg": (lambda o, old, new, q_old, q_new: (q_old - new.aux["resid_sq"] / (2.0 * o.lip))
+            / (1.0 + new.aux["step_alpha"]) - q_new,
+            _ref_schedule_bound("b0"), lambda rho, new: rho / (1.0 + new.aux["step_alpha"]),
+            _ref_grad_sq, _ref_identity),
+    "apg_fast_grad": (lambda o, old, new, q_old, q_new:
+                      (q_old - new.aux["d_next_sq"] / (4.0 * o.lip)) / (1.0 + new.alpha) - q_new,
+                      _ref_schedule_bound("fast_grad"), _ref_divide,
+                      lambda o, s: s.aux["d_next_sq"], _ref_identity),
+    "new_apg": (_ref_alpha_slack, _ref_schedule_bound("b_half"), _ref_divide,
+                lambda o, s: _ref_sq(s.aux["d_f"]), _ref_identity),
+}
+
+
+def reference_run(oracle, kind, x0, v0=None, gamma0=None, iters=100, alpha=None,
+                  variant="sqrt", stop_grad_tol=None):
+    """The per-step run loop: (records, certified, violations, nonfinite_at_k)."""
+    method = solvers.METHODS[kind]
+    slack_fn, bound_fn, rho_fn, residual_fn, bounded_fn = REFERENCE_CERTIFICATES[kind]
+    if method.smooth and oracle.is_composite:
+        raise UnsupportedSolverError(kind)
+
+    def lyapunov(state, gap):
+        if method.weight is None:
+            return gap
+        weight = oracle.mu if method.weight == "mu" else state.gamma
+        return gap + 0.5 * weight * _ref_sq(getattr(state, method.centre) - oracle.x_star)
+
+    def finite(*values):
+        return all(map(math.isfinite, values))
+
+    state = init_state(oracle, kind, x0, v0, gamma0)
+    if alpha is None:
+        alpha = method.default_alpha(oracle, variant)
+    gamma0 = state.gamma
+    gap = oracle.eval_f(state.x) - oracle.f_star
+    l_cur = lyapunov(state, gap)
+    r_sq = _ref_grad_sq(oracle, state)
+    q0 = q_cur = bounded_fn(oracle, l_cur, r_sq)
+    rho, certified, violations = 1.0, True, 0
+    gnorm = math.sqrt(r_sq)
+    records = [(0, gap, l_cur, bound_fn(oracle, gamma0, alpha, 0, rho, q0), math.nan,
+                gnorm, math.nan, math.nan if state.gamma is None else state.gamma, q0)]
+    nonfinite_at_k = None if finite(gap, l_cur, gnorm) else 0
+    for _ in range(iters if nonfinite_at_k is None else 0):
+        new = method.step(oracle, state, alpha)
+        gap = oracle.eval_f(new.x) - oracle.f_star
+        l_new = lyapunov(new, gap)
+        r_sq = residual_fn(oracle, new)
+        q_new = bounded_fn(oracle, l_new, r_sq)
+        rho = rho_fn(rho, new)
+        slack = slack_fn(oracle, state, new, q_cur, q_new)
+        if slack is None:
+            certified, slack = False, math.nan
+        elif not method.certificate:
+            certified = False
+        elif not slack >= -solvers.CERT_TOL * (1.0 + abs(l_cur)):
+            violations += 1
+        gnorm = math.sqrt(r_sq)
+        records.append((new.k, gap, l_new, bound_fn(oracle, gamma0, alpha, new.k, rho, q0),
+                        slack, gnorm, new.alpha,
+                        math.nan if new.gamma is None else new.gamma, q_new))
+        if not finite(gap, l_new, gnorm):
+            nonfinite_at_k = new.k
+            break
+        state, l_cur, q_cur = new, l_new, q_new
+        if stop_grad_tol is not None and gnorm < stop_grad_tol:
+            break
+    return records, certified, violations, nonfinite_at_k
+
+
+def outcome(call):
+    """What a run gives: its records (each value as repr, so -0.0, 0.0 and
+    the last bit all count) and verdict, or the type of what it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            result = call()
+        except Exception as exc:
+            return type(exc)
+    if isinstance(result, solvers.RunResult):
+        result = (result.records, result.certified, result.violations,
+                  result.nonfinite_at_k)
+    records, *verdict = result
+    return [tuple(map(repr, rec)) for rec in records], verdict
+
+
+def assert_same_as_reference(oracle, kind, x0, **kwargs):
+    got = outcome(lambda: run(oracle, kind, x0, **kwargs))
+    want = outcome(lambda: reference_run(oracle, kind, x0, **kwargs))
+    assert got == want
+    return got
+
+
+LOGCOSH = make_logcosh(2.0, dim=3)
+BLOCK_ITERS = [0, 1, 255, 256, 257, 600]
+
+
+class TestBlockLoopMatchesPerStepLoop:
+    @pytest.mark.parametrize("iters", BLOCK_ITERS)
+    @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
+    def test_quadratic(self, kind, iters):
+        alpha = 0.5 if kind in ("hb_gs", "avd_gs") else None
+        assert_same_as_reference(QUAD, kind, [4.0, -3.0], iters=iters, alpha=alpha)
+
+    @pytest.mark.parametrize("iters", BLOCK_ITERS)
+    @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
+    def test_logcosh(self, kind, iters):
+        # momentum and hb_gs need mu > 0: both loops raise the same error
+        assert_same_as_reference(LOGCOSH, kind, LOGCOSH.x0_ref, iters=iters, gamma0=2.0)
+
+    @pytest.mark.parametrize("iters", BLOCK_ITERS)
+    @pytest.mark.parametrize("kind", COMPOSITE_KINDS)
+    @pytest.mark.parametrize("oracle", [sc_lasso(), convex_lasso()], ids=["sc", "convex"])
+    def test_lasso(self, oracle, kind, iters):
+        assert_same_as_reference(oracle, kind, np.zeros(oracle.dim), iters=iters)
+
+    def test_tolerance_scales_with_old_lyapunov_value(self, monkeypatch):
+        # a slack just past -CERT_TOL (1 + |q_old|) is a violation only where
+        # nag's bounded value q_old = L_old - |g|^2/(2L) is far enough below
+        # L_old, the value the tolerance scales with
+        def slack(q_old):
+            return -solvers.CERT_TOL * (1.0 + abs(q_old)) * (1.0 + 1e-6)
+        monkeypatch.setitem(solvers.METHODS, "nag", solvers.METHODS["nag"]._replace(
+            slack=lambda o, b, q_old, q_new: slack(q_old) + 0.0 * q_new))
+        monkeypatch.setitem(REFERENCE_CERTIFICATES, "nag", (
+            lambda o, old, new, q_old, q_new: slack(q_old),
+            *REFERENCE_CERTIFICATES["nag"][1:]))
+        _, (certified, violations, _) = assert_same_as_reference(
+            QUAD, "nag", [4.0, -3.0], iters=300)
+        assert certified and 0 < violations < 300
+
+    @pytest.mark.parametrize("kind", ["gd", "pg"])
+    def test_alpha_outside_certified_range(self, kind):
+        records, (certified, _, _) = assert_same_as_reference(
+            QUAD, kind, [4.0, -3.0], iters=300, alpha=2.5 / QUAD.lip)
+        assert not certified and records[-1][4] == "nan"
+
+    def test_nonfinite_at_k0(self):
+        _, verdict = assert_same_as_reference(QUAD, "nag", [math.nan, 1.0], iters=300)
+        assert verdict[2] == 0
+
+    def test_nonfinite_mid_block(self):
+        o = make_quadratic([1.0, 100.0], [1.0, 1.0])
+        records, verdict = assert_same_as_reference(o, "hb_gs", [2.0, 2.0], iters=2000,
+                                                    alpha=1.0)
+        assert verdict[2] == 112 and len(records) == 113
+
+    def test_grad_tol_stop_mid_block(self):
+        o = make_quadratic(np.geomspace(1e-3, 1.0, 10), np.ones(10))
+        records, verdict = assert_same_as_reference(o, "nag", np.zeros(10), iters=2000,
+                                                    stop_grad_tol=1e-9)
+        # the stop row is the third block's 53rd
+        assert len(records) == 566 and verdict[2] is None
+
+    def test_stop_then_raise_in_one_block(self):
+        # gamma underflows: the run is non-finite at k=1025, and the step at
+        # k=1076, in the same block, divides by a zero gamma
+        o = make_logcosh(2.0, dim=50)
+        with pytest.raises(ZeroDivisionError), np.errstate(all="ignore"):
+            state = init_state(o, "scaled_ppa", o.x0_ref)
+            while state.k < 1076:
+                state = solvers.step_scaled_ppa(o, state, 1.0)
+        assert state.k == 1075
+        records, verdict = assert_same_as_reference(o, "scaled_ppa", o.x0_ref, iters=2000)
+        assert verdict[2] == 1025 and len(records) == 1026
+
+    def test_grad_tol_stop_then_raise_in_one_block(self, monkeypatch):
+        o = make_quadratic(np.geomspace(1e-3, 1.0, 10), np.ones(10))
+        monkeypatch.setattr(solvers, "step_nag", raising_at(solvers.step_nag, 600))
+        records, _ = assert_same_as_reference(o, "nag", np.zeros(10), iters=2000,
+                                              stop_grad_tol=1e-9)
+        assert len(records) == 566
+
+    @pytest.mark.parametrize("k", [1, 256, 300])
+    def test_raise_with_no_stop_before(self, monkeypatch, k):
+        monkeypatch.setattr(solvers, "step_gd", raising_at(solvers.step_gd, k))
+        assert assert_same_as_reference(QUAD, "gd", [4.0, -3.0], iters=600) is KeyError
+
+
+def raising_at(step, k):
+    """step, raising a KeyError when it would make the state at k."""
+    def wrapped(oracle, state, *args):
+        if state.k + 1 == k:
+            raise KeyError(k)
+        return step(oracle, state, *args)
+    return wrapped
