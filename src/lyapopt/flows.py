@@ -29,6 +29,8 @@ _HAS_GAMMA = {"gradient": False, "scaled_gradient": True, "heavy_ball": False,
 
 # integrate checks its trajectory for NaN/Inf once per this many steps
 FINITE_CHECK_STEPS = 256
+# integrate refuses a trajectory of more float64 values than this (512 MiB)
+MAX_TRAJECTORY_VALUES = 1 << 26
 
 
 class FlowError(ValueError):
@@ -204,21 +206,27 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     other block feeds, is carried as a float.  Finiteness is checked once
     per FINITE_CHECK_STEPS steps, over every row of the block, so the
     error names the first non-finite row, as a per-step check would; the
-    rest of its block is computed and dropped.
+    rest of its block is computed and dropped.  A trajectory of more than
+    MAX_TRAJECTORY_VALUES values is refused before anything is allocated.
     """
     # written so that a NaN fails it: every comparison with NaN is False
     if not (0 < dt < math.inf and state0.t < t_end < math.inf):
         raise FlowError("need a finite dt > 0 and a finite t_end > t0")
     _check_blocks(model, state0)
-    n_steps = max(1, int(round((t_end - state0.t) / dt)))
+    n = model.oracle.dim
+    m = 2 * n if model.has_v else n
+    # (t_end - t0) / dt overflows to inf for a t_end near the largest float
+    span = (t_end - state0.t) / dt
+    n_steps = max(1, round(span)) if math.isfinite(span) else math.inf
+    if (n_steps + 1) * (m + 1) > MAX_TRAJECTORY_VALUES:
+        raise FlowError(f"(t_end - t0) / dt = {span:.6g} steps: the trajectory would "
+                        f"hold more than {MAX_TRAJECTORY_VALUES} values")
     h = (t_end - state0.t) / n_steps
     half, sixth = 0.5 * h, h / 6.0
     # 0-d arrays for the array products: numpy converts a float operand on
     # every call
     h_, half_, sixth_ = np.array(h), np.array(half), np.array(sixth)
     rhs = model.rhs
-    n = model.oracle.dim
-    m = 2 * n if model.has_v else n
     gamma = float(state0.gamma) if model.has_gamma else 0.0
     # y is the current row [x | v | gamma], stage a stage's [x | v], and
     # k the four stage derivatives of [x | v]

@@ -1,7 +1,9 @@
-"""Lyapunov function catalog and the numeric strong-condition verifier.
+"""Lyapunov form table, the named flow pairings, and the numeric
+strong-condition verifier.
 
 A Lyapunov function here is a nonnegative function of the flow state that
-vanishes at the equilibrium.  The verifier samples states and checks the
+vanishes at the equilibrium; every kind is one entry of FORMS, which the
+solvers' run loop reads too.  The verifier samples states and checks the
 decay inequality -grad(L) . G >= c L^q + p^2 pointwise; the sequence-decay
 theorems convert per-step contraction inequalities into rate bounds.
 """
@@ -23,7 +25,17 @@ SLACK_TOL = 1e-9
 SAMPLING_RADIUS = 10.0
 GAMMA_RANGE = (0.05, 10.0)
 
-LYAPUNOV_KINDS = ("opt_gap", "dist_sq", "combined_mu", "scaled", "hb", "avd_nag")
+# The Lyapunov family L = f - f* + w/2 |c - x*|^2, one (w, c) per kind: the
+# weight w is None (L is the gap alone), "mu" (oracle.mu) or "gamma" (the
+# state's gamma), and the centre c is the state block "x" or "v".
+FORMS = {
+    "opt_gap": (None, "x"),
+    "combined_mu": ("mu", "x"),
+    "scaled": ("gamma", "x"),
+    "hb": ("mu", "v"),
+    "avd_nag": ("gamma", "v"),
+}
+LYAPUNOV_KINDS = tuple(FORMS)
 
 
 class LyapunovConfigError(ValueError):
@@ -54,65 +66,46 @@ class LyapunovSpec:
             raise LyapunovConfigError(f"unknown Lyapunov kind: {self.kind!r}")
 
 
-def _need(state: flows.FlowState, block: str, kind: str):
-    if getattr(state, block) is None:
-        raise LyapunovConfigError(f"Lyapunov kind {kind!r} needs state block {block!r}")
+def _form(kind: str, oracle: ProblemOracle, state):
+    """(w, c - x*) of the kind's form at the state, or (None, None) for the
+    gap alone.  state is a FlowState, single or batched, or anything with
+    the same blocks (a solver's Block of iterates)."""
+    weight, centre = FORMS[kind]
+    if weight is None:
+        return None, None
+    for block in (centre, weight):
+        if block in ("v", "gamma") and getattr(state, block) is None:
+            raise LyapunovConfigError(f"Lyapunov kind {kind!r} needs state block {block!r}")
+    w = oracle.mu if weight == "mu" else state.gamma
+    return w, getattr(state, centre) - oracle.x_star
 
 
-def _sq_dist(a, center):
-    return np.sum((a - center) ** 2, axis=-1)
-
-
-def _per_state(value, x):
-    """A per-state scalar shaped to scale the rows of x."""
-    return np.asarray(value)[..., None] if x.ndim > 1 else value
+def value(kind: str, oracle: ProblemOracle, state, gap):
+    """L from the gap f - f* at the state: gap + w/2 |c - x*|^2, per state
+    over a batch (rowdot, so a batch row equals the state alone bit for bit)."""
+    w, d = _form(kind, oracle, state)
+    return gap if w is None else gap + 0.5 * w * rowdot(d, d)
 
 
 def evaluate(lyap: LyapunovSpec, oracle: ProblemOracle, state: flows.FlowState):
     """L at the state: a float, or an array over a batched state."""
-    x = np.asarray(state.x, dtype=float)
-    gap = oracle.eval_f(x) - oracle.f_star
-    if lyap.kind == "opt_gap":
-        return gap
-    if lyap.kind == "dist_sq":
-        return unbox(0.5 * _sq_dist(x, oracle.x_star))
-    if lyap.kind == "combined_mu":
-        return unbox(gap + 0.5 * oracle.mu * _sq_dist(x, oracle.x_star))
-    if lyap.kind == "scaled":
-        _need(state, "gamma", lyap.kind)
-        return unbox(gap + 0.5 * state.gamma * _sq_dist(x, oracle.x_star))
-    if lyap.kind == "hb":
-        _need(state, "v", lyap.kind)
-        return unbox(gap + 0.5 * oracle.mu * _sq_dist(state.v, oracle.x_star))
-    # avd_nag
-    _need(state, "v", lyap.kind)
-    _need(state, "gamma", lyap.kind)
-    return unbox(gap + 0.5 * state.gamma * _sq_dist(state.v, oracle.x_star))
+    gap = oracle.eval_f(np.asarray(state.x, dtype=float)) - oracle.f_star
+    return unbox(value(lyap.kind, oracle, state, gap))
 
 
 def grad_blocks(lyap: LyapunovSpec, oracle: ProblemOracle, state: flows.FlowState) -> dict:
     """Partial gradients with respect to the x, v and gamma blocks."""
-    x = np.asarray(state.x, dtype=float)
-    g = oracle.grad_h(x)
-    dx = x - oracle.x_star
-    if lyap.kind == "opt_gap":
+    g = oracle.grad_h(np.asarray(state.x, dtype=float))
+    w, d = _form(lyap.kind, oracle, state)
+    if w is None:
         return {"x": g}
-    if lyap.kind == "dist_sq":
-        return {"x": dx}
-    if lyap.kind == "combined_mu":
-        return {"x": g + oracle.mu * dx}
-    if lyap.kind == "scaled":
-        _need(state, "gamma", lyap.kind)
-        return {"x": g + _per_state(state.gamma, x) * dx,
-                "gamma": unbox(0.5 * np.sum(dx * dx, axis=-1))}
-    dv = state.v - oracle.x_star if state.v is not None else None
-    if lyap.kind == "hb":
-        _need(state, "v", lyap.kind)
-        return {"x": g, "v": oracle.mu * dv}
-    _need(state, "v", lyap.kind)
-    _need(state, "gamma", lyap.kind)
-    return {"x": g, "v": _per_state(state.gamma, x) * dv,
-            "gamma": unbox(0.5 * np.sum(dv * dv, axis=-1))}
+    # w d, with a batch's per-state w scaling the rows of d
+    wd = (np.asarray(w)[..., None] if d.ndim > 1 else w) * d
+    weight, centre = FORMS[lyap.kind]
+    grads = {"x": g + wd} if centre == "x" else {"x": g, "v": wd}
+    if weight == "gamma":
+        grads["gamma"] = unbox(0.5 * rowdot(d, d))
+    return grads
 
 
 def decay_rate(lyap: LyapunovSpec, model: flows.FlowModel, state: flows.FlowState):
@@ -315,100 +308,51 @@ def _sc_quadratic() -> ProblemOracle:
     return make_quadratic([1.0, 4.0], [1.0, -2.0])
 
 
-def pairing_gd_combined(oracle: Optional[ProblemOracle] = None, c_override=None):
-    """Gradient flow with the mu-augmented gap: c = mu, q = 1, p^2 = |grad f|^2."""
-    oracle = oracle or _sc_quadratic()
-    model = flows.FlowModel("gradient", oracle)
-    mu = oracle.mu
-    lyap = LyapunovSpec(
-        "combined_mu",
-        StrongParams(
-            c=lambda st: c_override if c_override is not None else mu,
-            q=1.0,
-            p_sq=lambda st: np.sum(oracle.grad_h(st.x) ** 2, axis=-1),
-        ),
-    )
-    return model, lyap
+def _pairing(flow: str, kind: str, c: Callable, p_sq: Callable, q: float = 1.0,
+             domain: str = "box", problem: Callable = _sc_quadratic) -> Callable:
+    """A named pairing: (oracle=None, c_override=None) -> (model, spec).
+
+    The model is the flow on the oracle (problem() when none is given), and
+    the spec's rate c and dissipation p_sq are c(model, state) and
+    p_sq(model, state); a c_override replaces the rate.
+    """
+    def pairing(oracle: Optional[ProblemOracle] = None, c_override=None):
+        model = flows.FlowModel(flow, oracle or problem())
+        rate = (lambda st: c(model, st)) if c_override is None else (lambda st: c_override)
+        params = StrongParams(c=rate, q=q, p_sq=lambda st: p_sq(model, st))
+        return model, LyapunovSpec(kind, params, domain)
+    return pairing
 
 
-def pairing_gf_convex(oracle: Optional[ProblemOracle] = None, c_override=None):
-    """Gradient flow, mu = 0, on the initial sublevel set: c = 1/R0^2, q = 2."""
-    oracle = oracle or make_logcosh(2.0, dim=2)
-    model = flows.FlowModel("gradient", oracle)
-    c_val = c_override if c_override is not None else 1.0 / oracle.radius_r0 ** 2
-    lyap = LyapunovSpec(
-        "opt_gap",
-        StrongParams(c=lambda st: c_val, q=2.0, p_sq=lambda st: 0.0),
-        domain="sublevel",
-    )
-    return model, lyap
+def _grad_sq(model, st):
+    g = model.oracle.grad_h(st.x)
+    return rowdot(g, g)
 
 
-def pairing_scaled(oracle: Optional[ProblemOracle] = None, c_override=None):
-    """Rescaled gradient flow: c = 1, q = 1, p^2 = |grad f|^2 / gamma."""
-    oracle = oracle or _sc_quadratic()
-    model = flows.FlowModel("scaled_gradient", oracle)
-    lyap = LyapunovSpec(
-        "scaled",
-        StrongParams(
-            c=lambda st: c_override if c_override is not None else 1.0,
-            q=1.0,
-            p_sq=lambda st: np.sum(oracle.grad_h(st.x) ** 2, axis=-1) / st.gamma,
-        ),
-    )
-    return model, lyap
+def _spread(model, st):
+    """mu/2 |x - v|^2."""
+    d = st.x - st.v
+    return 0.5 * model.oracle.mu * rowdot(d, d)
 
 
-def pairing_hb(oracle: Optional[ProblemOracle] = None, c_override=None):
-    """Heavy ball: c = 1, q = 1, p^2 = mu/2 |x - v|^2."""
-    oracle = oracle or _sc_quadratic()
-    model = flows.FlowModel("heavy_ball", oracle)
-    mu = oracle.mu
-    lyap = LyapunovSpec(
-        "hb",
-        StrongParams(
-            c=lambda st: c_override if c_override is not None else 1.0,
-            q=1.0,
-            p_sq=lambda st: 0.5 * mu * _sq_dist(st.x, st.v),
-        ),
-    )
-    return model, lyap
-
-
-def pairing_avd(oracle: Optional[ProblemOracle] = None, c_override=None):
-    """Vanishing damping: c = sqrt(gamma), q = 1, p = 0."""
-    oracle = oracle or _sc_quadratic()
-    model = flows.FlowModel("avd_r3", oracle)
-    lyap = LyapunovSpec(
-        "avd_nag",
-        StrongParams(
-            c=lambda st: c_override if c_override is not None else np.sqrt(st.gamma),
-            q=1.0,
-            p_sq=lambda st: 0.0,
-        ),
-    )
-    return model, lyap
-
-
-def pairing_hnag(oracle: Optional[ProblemOracle] = None, c_override=None):
-    """Gradient-corrected accelerated flow: c = 1, p^2 = beta|grad f|^2 + mu/2 |x-v|^2."""
-    oracle = oracle or _sc_quadratic()
-    model = flows.FlowModel("hnag", oracle)
-    mu = oracle.mu
-
-    def p_sq(st):
-        g = oracle.grad_h(st.x)
-        return model.beta_fn(st.t) * rowdot(g, g) + 0.5 * mu * _sq_dist(st.x, st.v)
-
-    lyap = LyapunovSpec(
-        "avd_nag",
-        StrongParams(
-            c=lambda st: c_override if c_override is not None else 1.0,
-            q=1.0,
-            p_sq=p_sq,
-        ),
-    )
-    return model, lyap
+# Gradient flow with the mu-augmented gap: c = mu, q = 1, p^2 = |grad f|^2.
+pairing_gd_combined = _pairing("gradient", "combined_mu", lambda m, st: m.oracle.mu, _grad_sq)
+# Gradient flow, mu = 0, on the initial sublevel set: c = 1/R0^2, q = 2, p = 0.
+pairing_gf_convex = _pairing("gradient", "opt_gap", lambda m, st: 1.0 / m.oracle.radius_r0 ** 2,
+                             lambda m, st: 0.0, q=2.0, domain="sublevel",
+                             problem=lambda: make_logcosh(2.0, dim=2))
+# Rescaled gradient flow: c = 1, q = 1, p^2 = |grad f|^2 / gamma.
+pairing_scaled = _pairing("scaled_gradient", "scaled", lambda m, st: 1.0,
+                          lambda m, st: _grad_sq(m, st) / st.gamma)
+# Heavy ball: c = 1, q = 1, p^2 = mu/2 |x - v|^2.
+pairing_hb = _pairing("heavy_ball", "hb", lambda m, st: 1.0, _spread)
+# Vanishing damping: c = sqrt(gamma), q = 1, p = 0.
+pairing_avd = _pairing("avd_r3", "avd_nag", lambda m, st: np.sqrt(st.gamma),
+                       lambda m, st: 0.0)
+# Gradient-corrected accelerated flow: c = 1, q = 1,
+# p^2 = beta |grad f|^2 + mu/2 |x - v|^2.
+pairing_hnag = _pairing("hnag", "avd_nag", lambda m, st: 1.0,
+                        lambda m, st: m.beta_fn(st.t) * _grad_sq(m, st) + _spread(m, st))
 
 
 def _lasso_sc() -> ProblemOracle:
@@ -425,32 +369,33 @@ def _lasso_convex() -> ProblemOracle:
     return make_lasso(a, b, 0.5)
 
 
+# The named pairings: strong_condition_check runs a smooth one on its
+# (model, spec), composite_condition_check a composite one on its LASSO.
+_SMOOTH_PAIRINGS = {
+    "gd_combined": pairing_gd_combined,
+    "gf_convex": pairing_gf_convex,
+    "scaled": pairing_scaled,
+    "hb": pairing_hb,
+    "avd": pairing_avd,
+    "hnag": pairing_hnag,
+}
+_COMPOSITE_PAIRINGS = {"composite_sc": _lasso_sc, "composite_convex": _lasso_convex}
+PAIRING_NAMES = (*_SMOOTH_PAIRINGS, *_COMPOSITE_PAIRINGS)
+
+
 def verify_pairing(name: str, samples: int, seed: int,
                    c_override: Optional[float] = None) -> dict:
     """Run the named verifier pairing and return its report."""
-    smooth = {
-        "gd_combined": pairing_gd_combined,
-        "gf_convex": pairing_gf_convex,
-        "scaled": pairing_scaled,
-        "hb": pairing_hb,
-        "avd": pairing_avd,
-        "hnag": pairing_hnag,
-    }
-    if name in smooth:
-        model, lyap = smooth[name](c_override=c_override)
+    if name in _SMOOTH_PAIRINGS:
+        model, lyap = _SMOOTH_PAIRINGS[name](c_override=c_override)
         report = strong_condition_check(model, lyap, samples, seed)
-    elif name == "composite_sc":
-        report = composite_condition_check(_lasso_sc(), samples, seed, c_override)
-    elif name == "composite_convex":
-        report = composite_condition_check(_lasso_convex(), samples, seed, c_override)
+    elif name in _COMPOSITE_PAIRINGS:
+        report = composite_condition_check(_COMPOSITE_PAIRINGS[name](), samples, seed,
+                                           c_override)
     else:
         raise LyapunovConfigError(f"unknown pairing: {name!r}")
     report["pairing"] = name
     return report
-
-
-PAIRING_NAMES = ("gd_combined", "gf_convex", "scaled", "hb", "avd", "hnag",
-                 "composite_sc", "composite_convex")
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,8 @@ def _as_vector(v, name: str) -> Vector:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidProblemError(f"{name} must be a nonempty 1-D array")
+    if not np.isfinite(arr).all():
+        raise InvalidProblemError(f"{name} must be finite")
     return arr
 
 
@@ -208,8 +210,11 @@ def make_lasso(a_matrix, b, rho: float) -> ProblemOracle:
     b = _as_vector(b, "b")
     if a.ndim != 2 or a.shape[0] != b.size:
         raise InvalidProblemError("a_matrix must be 2-D with rows matching b")
-    if rho <= 0:
-        raise InvalidProblemError("rho must be positive")
+    if not np.isfinite(a).all():
+        raise InvalidProblemError("a_matrix must be finite")
+    # written so that a NaN fails it
+    if not 0 < rho < math.inf:
+        raise InvalidProblemError("rho must be positive and finite")
     n = a.shape[1]
     gram = a.T @ a
 
@@ -277,8 +282,9 @@ def make_logcosh(scale: float, dim: int = 1) -> ProblemOracle:
     from which the coercivity radius of the sublevel set {f <= f(x0)} is
     computed by bisection.
     """
-    if scale <= 0:
-        raise InvalidProblemError("scale must be positive")
+    # written so that a NaN fails it
+    if not 0 < scale < math.inf:
+        raise InvalidProblemError("scale must be positive and finite")
     if dim < 1:
         raise InvalidProblemError("dim must be >= 1")
 

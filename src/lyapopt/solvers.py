@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import schedules
+from . import lyapunov, schedules
 from .problems import ProblemOracle, rowdot
 
 CERT_TOL = 1e-9
@@ -294,9 +294,10 @@ class Block:
         return self._column(("aux", name), lambda: np.array(
             [s.aux[name] for s in self.states], dtype=float))
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.col("x")
+    # the blocks lyapunov.value reads, so a Block stands in for a batched state
+    x = property(lambda self: self.col("x"))
+    v = property(lambda self: self.col("v"))
+    gamma = property(lambda self: self.col("gamma"))
 
     @property
     def grad(self) -> np.ndarray:
@@ -346,14 +347,10 @@ def _powers(q0: float, base: float, exponents) -> np.ndarray:
 
 
 class Method(NamedTuple):
-    """One solver kind.  The Lyapunov value is f - f* + w/2 |centre - x*|^2
-    with w = oracle.mu for weight "mu", state.gamma for "gamma"; it is
-    f - f* for weight None.  (A NamedTuple, not a dataclass: the class is
-    built at every import, and a frozen dataclass builds several times
-    slower.)"""
+    """One solver kind.  (A NamedTuple, not a dataclass: the class is built
+    at every import, and a frozen dataclass builds several times slower.)"""
     step: Callable  # (oracle, state, alpha) -> the next state
-    weight: Optional[str]
-    centre: str  # the state block the Lyapunov value measures: "x" or "v"
+    form: str  # the Lyapunov value's form: a key of lyapunov.FORMS
     # (oracle, block, q_old, q_new) -> the per-step inequality's slack per row
     slack: Callable
     # (oracle, gamma0, alpha, ks, rho, q0) -> the rate bound at each k of ks
@@ -460,64 +457,64 @@ def _times_contraction(rho, b):
 # so a wrapper installed on that name (a tracer, say) sees every step.
 METHODS = {
     "ppa": Method(
-        step=lambda o, s, a: step_ppa(o, s, a), weight="mu", centre="x",
+        step=lambda o, s, a: step_ppa(o, s, a), form="combined_mu",
         slack=lambda o, b, q_old, q_new: q_old / (1.0 + o.mu * b.col("alpha")) - q_new,
         bound=lambda o, g0, a, ks, rho, q0: _powers(q0, 1.0 + o.mu * a, [-k for k in ks]),
         default_alpha=_unit_alpha),
     "gd": Method(
-        step=lambda o, s, a: step_gd(o, s, a), weight="mu", centre="x",
+        step=lambda o, s, a: step_gd(o, s, a), form="combined_mu",
         slack=lambda o, b, q_old, q_new: (1.0 - o.mu * b.col("alpha")) * q_old - q_new,
         in_range=_gd_in_range, bound=_gd_bound,
         default_alpha=lambda o, variant: 2.0 / (o.lip + o.mu), smooth=True),
     "pg": Method(
-        step=lambda o, s, a: step_pg(o, s, a), weight=None, centre="x",
+        step=lambda o, s, a: step_pg(o, s, a), form="opt_gap",
         slack=_pg_slack, in_range=_pg_in_range, bound=_pg_bound,
         default_alpha=lambda o, variant: 1.0 / o.lip,
         residual_sq=lambda o, b: _rowsq(b.aux("d_next"))),
     "scaled_ppa": Method(
-        step=lambda o, s, a: step_scaled_ppa(o, s, a), weight="gamma", centre="x",
+        step=lambda o, s, a: step_scaled_ppa(o, s, a), form="scaled",
         slack=_alpha_slack, bound=_measured_bound, blocks=("gamma",),
         default_alpha=_unit_alpha),
     "hb_gs": Method(
-        step=lambda o, s, a: step_hb_gs(o, s, a), weight="mu", centre="v",
+        step=lambda o, s, a: step_hb_gs(o, s, a), form="hb",
         slack=_hb_gs_diagnostic, certificate=False, bound=_no_bound, blocks=("v",),
         default_alpha=_unit_alpha, smooth=True),
     "momentum": Method(
-        step=lambda o, s, a: step_momentum(o, s, a), weight="mu", centre="v",
+        step=lambda o, s, a: step_momentum(o, s, a), form="hb",
         slack=_alpha_slack, bound=_measured_bound, blocks=("v",),
         default_alpha=lambda o, variant: schedules.momentum_alpha(o.mu, o.lip, variant),
         smooth=True),
     "avd_gs": Method(
-        step=lambda o, s, a: step_avd(o, s, "gs", a), weight="gamma", centre="v",
+        step=lambda o, s, a: step_avd(o, s, "gs", a), form="avd_nag",
         slack=_avd_gs_diagnostic, certificate=False, bound=_no_bound,
         blocks=("v", "gamma"), default_alpha=_unit_alpha, smooth=True),
     "avd_grad": Method(
-        step=lambda o, s, a: step_avd(o, s, "grad", a), weight="gamma", centre="v",
+        step=lambda o, s, a: step_avd(o, s, "grad", a), form="avd_nag",
         slack=_contraction_slack, bound=_measured_bound, blocks=("v", "gamma"),
         rho=_times_contraction, smooth=True),
     "avd_extrap": Method(
-        step=lambda o, s, a: step_avd(o, s, "extrap", a), weight="gamma", centre="v",
+        step=lambda o, s, a: step_avd(o, s, "extrap", a), form="avd_nag",
         slack=_contraction_slack, bound=_measured_bound, blocks=("v", "gamma"),
         rho=_times_contraction, smooth=True),
     # nag's certificate and rate bound hold for L - |grad f(x)|^2 / (2L)
     "nag": Method(
-        step=lambda o, s, a: step_nag(o, s), weight="gamma", centre="v",
+        step=lambda o, s, a: step_nag(o, s), form="avd_nag",
         slack=_alpha_slack, bound=_schedule_bound("nag"), blocks=("v", "y", "gamma"),
         bounded=lambda o, l, r_sq: l - r_sq / (2.0 * o.lip), smooth=True),
     "apg": Method(
-        step=lambda o, s, a: step_apg(o, s), weight="gamma", centre="v",
+        step=lambda o, s, a: step_apg(o, s), form="avd_nag",
         slack=lambda o, b, q_old, q_new: (q_old - b.aux("resid_sq") / (2.0 * o.lip))
         / (1.0 + b.aux("step_alpha")) - q_new,
         bound=_schedule_bound("b0"), blocks=("v", "y", "gamma", "alpha"),
         rho=lambda rho, b: _divided(rho, 1.0 + b.aux("step_alpha"))),
     "apg_fast_grad": Method(
-        step=lambda o, s, a: step_apg_fast_grad(o, s), weight="gamma", centre="v",
+        step=lambda o, s, a: step_apg_fast_grad(o, s), form="avd_nag",
         slack=lambda o, b, q_old, q_new: (q_old - b.aux("d_next_sq") / (4.0 * o.lip))
         / (1.0 + b.col("alpha")) - q_new,
         bound=_schedule_bound("fast_grad"), blocks=("v", "gamma"),
         residual_sq=lambda o, b: b.aux("d_next_sq")),
     "new_apg": Method(
-        step=lambda o, s, a: step_new_apg(o, s), weight="gamma", centre="v",
+        step=lambda o, s, a: step_new_apg(o, s), form="avd_nag",
         slack=_alpha_slack, bound=_schedule_bound("b_half"), blocks=("v", "gamma"),
         residual_sq=lambda o, b: _rowsq(b.aux("d_f"))),
 }
@@ -556,11 +553,7 @@ def _values(oracle: ProblemOracle, method: Method, block: Block, residual_sq: Ca
     """Each row's f - f*, Lyapunov value and grad norm, with the squared
     residual the norm is taken of."""
     gap = oracle.eval_f(block.x) - oracle.f_star
-    lyap = gap
-    if method.weight is not None:
-        weight = oracle.mu if method.weight == "mu" else block.col("gamma")
-        d = (block.x if method.centre == "x" else block.col(method.centre)) - oracle.x_star
-        lyap = gap + 0.5 * weight * _rowsq(d)
+    lyap = lyapunov.value(method.form, oracle, block, gap)
     r_sq = residual_sq(oracle, block)
     return gap, lyap, np.sqrt(r_sq), r_sq
 

@@ -132,6 +132,16 @@ class TestFlowCommand:
         assert main(["flow", "--model", "verlet", "--problem", problem,
                      "--t-end", "1.0", "--dt", "0.01"]) == 2
 
+    @pytest.mark.parametrize("t_end", ["1e300", "1e9"])
+    def test_unallocatable_trajectory_exit_2(self, tmp_path, capsys, t_end):
+        # 1e300 / 1e-3 steps made np.empty raise a bare ValueError (exit 1);
+        # 1e12 steps would have tried to allocate the whole trajectory
+        problem = write_json(tmp_path / "p.json", QUAD_PROBLEM)
+        assert main(["flow", "--model", "gradient", "--problem", problem,
+                     "--t-end", t_end, "--dt", "1e-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "values" in captured.err
+
 
 class TestVerifyCommand:
     def test_pairing_passes(self, capsys):
@@ -280,6 +290,35 @@ class TestRunFailsClosed:
             solvers.RunResult("gd", trace, certified=True, violations=0))
         assert report["pass"] is False and report["max_bound_violation"] is None
         json.dumps(report, allow_nan=False)
+
+
+LASSO_PROBLEM = {"kind": "lasso", "a_matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                 "b": [1.0, 0.0, 1.0], "rho": 0.3}
+
+
+class TestNonFiniteProblem:
+    # each one built an oracle and ended in a certificate FAIL (exit 1)
+    @pytest.mark.parametrize("command", ["run", "flow"])
+    @pytest.mark.parametrize("problem", [
+        {"kind": "quadratic", "eigs": [math.nan, 4.0], "b": [1.0, -2.0]},
+        {"kind": "quadratic", "eigs": [1.0, math.inf], "b": [1.0, -2.0]},
+        {"kind": "quadratic", "eigs": [1.0, 4.0], "b": [math.nan, -2.0]},
+        {"kind": "logcosh", "scale": math.nan, "dim": 2},
+        dict(LASSO_PROBLEM, a_matrix=[[math.nan, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        dict(LASSO_PROBLEM, rho=math.nan),
+        dict(LASSO_PROBLEM, rho=math.inf),
+    ], ids=["eigs-nan", "eigs-inf", "b-nan", "scale-nan", "a-nan", "rho-nan", "rho-inf"])
+    def test_usage_error_exit_2(self, tmp_path, capsys, command, problem):
+        if command == "run":
+            cfg = {"problem": problem, "solver": "pg", "iters": 10}
+            args = ["run", "--config", write_json(tmp_path / "cfg.json", cfg)]
+        else:
+            args = ["flow", "--model", "gradient", "--problem",
+                    write_json(tmp_path / "p.json", problem), "--t-end", "1", "--dt", "0.01"]
+        with np.errstate(all="ignore"):
+            assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
 
 class TestSmoothOnlyKinds:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyapopt import harness, schedules, solvers
+from lyapopt import flows, harness, lyapunov, schedules, solvers
 from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic
 from lyapopt.solvers import (
     SolverState,
@@ -530,6 +530,15 @@ def _ref_identity(o, l, r_sq):
     return l
 
 
+# kind -> (weight, centre) of its Lyapunov value f - f* + w/2 |centre - x*|^2:
+# w is oracle.mu for "mu" and the state's gamma for "gamma"; None is f - f*
+REFERENCE_FORMS = {
+    "ppa": ("mu", "x"), "gd": ("mu", "x"), "pg": (None, "x"), "scaled_ppa": ("gamma", "x"),
+    "hb_gs": ("mu", "v"), "momentum": ("mu", "v"), "avd_gs": ("gamma", "v"),
+    "avd_grad": ("gamma", "v"), "avd_extrap": ("gamma", "v"), "nag": ("gamma", "v"),
+    "apg": ("gamma", "v"), "apg_fast_grad": ("gamma", "v"), "new_apg": ("gamma", "v"),
+}
+
 # kind -> (slack, bound, rho, residual_sq, bounded)
 REFERENCE_CERTIFICATES = {
     "ppa": (lambda o, old, new, q_old, q_new: q_old / (1.0 + o.mu * new.alpha) - q_new,
@@ -566,14 +575,15 @@ def reference_run(oracle, kind, x0, v0=None, gamma0=None, iters=100, alpha=None,
     """The per-step run loop: (records, certified, violations, nonfinite_at_k)."""
     method = solvers.METHODS[kind]
     slack_fn, bound_fn, rho_fn, residual_fn, bounded_fn = REFERENCE_CERTIFICATES[kind]
+    form_weight, centre = REFERENCE_FORMS[kind]
     if method.smooth and oracle.is_composite:
         raise UnsupportedSolverError(kind)
 
     def lyapunov(state, gap):
-        if method.weight is None:
+        if form_weight is None:
             return gap
-        weight = oracle.mu if method.weight == "mu" else state.gamma
-        return gap + 0.5 * weight * _ref_sq(getattr(state, method.centre) - oracle.x_star)
+        weight = oracle.mu if form_weight == "mu" else state.gamma
+        return gap + 0.5 * weight * _ref_sq(getattr(state, centre) - oracle.x_star)
 
     def finite(*values):
         return all(map(math.isfinite, values))
@@ -733,3 +743,42 @@ def raising_at(step, k):
             raise KeyError(k)
         return step(oracle, state, *args)
     return wrapped
+
+
+def quad40():
+    eigs = np.geomspace(1e-3, 1.0, 40)
+    x_star = box_rng(40).uniform(-1.0, 1.0, 40)
+    return make_quadratic(eigs, eigs * x_star), x_star + 1.0
+
+
+def logcosh50():
+    o = make_logcosh(2.0, dim=50)
+    return o, o.x0_ref
+
+
+class TestRunMatchesEvaluate:
+    """The run loop and the flow verifiers read one form table."""
+
+    @pytest.mark.parametrize("kind", solvers.SOLVER_KINDS)
+    def test_form_matches_reference(self, kind):
+        assert lyapunov.FORMS[solvers.METHODS[kind].form] == REFERENCE_FORMS[kind]
+
+    @pytest.mark.parametrize("problem, kind", [
+        (problem, kind) for problem in (quad40, logcosh50) for kind in solvers.SOLVER_KINDS
+        if not (problem is logcosh50 and kind in ("hb_gs", "momentum"))])
+    def test_lyapunov_column_is_evaluate(self, problem, kind):
+        # the run's batched column and evaluate on each iterate alone agree
+        # bit for bit: both reduce the squared distance with rowdot
+        oracle, x0 = problem()
+        method = solvers.METHODS[kind]
+        with np.errstate(all="ignore"):
+            column = run(oracle, kind, x0, iters=300).trace.lyapunov
+            states = [init_state(oracle, kind, x0)]
+            alpha = method.default_alpha(oracle, "sqrt")
+            while len(states) < column.size:
+                states.append(method.step(oracle, states[-1], alpha))
+            spec = lyapunov.LyapunovSpec(method.form)
+            want = [lyapunov.evaluate(spec, oracle, flows.FlowState(0.0, s.x, v=s.v,
+                                                                    gamma=s.gamma))
+                    for s in states]
+        assert list(map(repr, column.tolist())) == list(map(repr, want))
