@@ -75,14 +75,22 @@ def _entries(checks: dict, samples: np.ndarray, tol) -> dict:
     return report
 
 
+def _require_samples(samples: int) -> None:
+    # a check over no samples certifies nothing: its zero violations are no pass
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def check_bounds_lemma1(oracle: ProblemOracle, samples: int, seed: int) -> dict:
     """Sample pairs (x, y) and check the four curvature bounds on h.
 
     Upper bounds L/2 ||x-y||^2 on both divergences, lower bounds
     mu/2 ||x-y||^2 and ||grad diff||^2/(2L); for mu > 0 also the upper
     bound ||grad diff||^2/(2 mu).  Slack is (bound side) - (bounded side);
-    a violation is slack not >= -1e-9 * (1 + ||x-y||^2).
+    a violation is slack not >= -1e-9 * (1 + ||x-y||^2).  samples < 1
+    raises.
     """
+    _require_samples(samples)
     rng = box_rng(seed)
     mu, lip = oracle.mu, oracle.lip
     xs = sample_box(rng, oracle.x_star, SAMPLING_RADIUS, samples)
@@ -103,7 +111,9 @@ def check_bounds_lemma1(oracle: ProblemOracle, samples: int, seed: int) -> dict:
 
 
 def check_minimum_bounds(oracle: ProblemOracle, samples: int, seed: int) -> dict:
-    """Check the corollary bounds that pin one argument at the minimizer."""
+    """Check the corollary bounds that pin one argument at the minimizer.
+    samples < 1 raises."""
+    _require_samples(samples)
     rng = box_rng(seed)
     mu, lip = oracle.mu, oracle.lip
     xs = sample_box(rng, oracle.x_star, SAMPLING_RADIUS, samples)

@@ -4,37 +4,53 @@ Each model is a first-order vector field in the blocks (x, v, gamma):
 plain gradient flow, gradient flow rescaled by a time-scaling factor
 obeying gamma' = mu - gamma, the heavy-ball system, the vanishing-damping
 second-order system in its first-order form, and the gradient-corrected
-accelerated flow with an extra -beta grad f damping term.  A fixed-step
-RK4 integrator produces reference trajectories, and a decay checker
-confirms the Lyapunov bounds along them.
+accelerated flow with an extra -beta grad f damping term; each kind is one
+entry of FLOWS.  A fixed-step RK4 integrator produces reference
+trajectories from start_state, and a decay checker confirms the Lyapunov
+bounds along them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .problems import ProblemOracle, rowdot, unbox
 
-FLOW_KINDS = ("gradient", "scaled_gradient", "heavy_ball", "avd_r3", "hnag")
-
-# Block layout per kind: which of (v, gamma) the state carries.
-_HAS_V = {"gradient": False, "scaled_gradient": False, "heavy_ball": True,
-          "avd_r3": True, "hnag": True}
-_HAS_GAMMA = {"gradient": False, "scaled_gradient": True, "heavy_ball": False,
-              "avd_r3": True, "hnag": True}
-
 # integrate checks its trajectory for NaN/Inf once per this many steps
 FINITE_CHECK_STEPS = 256
 # integrate refuses a trajectory of more float64 values than this (512 MiB)
 MAX_TRAJECTORY_VALUES = 1 << 26
+# continuous_decay_check fails a step whose relative excess over the bound
+# is above this
+DECAY_REL_TOL = 1e-3
 
 
 class FlowError(ValueError):
     """Invalid flow model or state."""
+
+
+class Flow(NamedTuple):
+    """One flow kind: the blocks its state carries beside x, and its start."""
+    has_v: bool
+    has_gamma: bool
+    t0: float = 0.0
+    gamma0: Optional[Callable] = None  # oracle -> gamma at t0, for a kind with gamma
+    needs_mu: bool = False  # True: the flow needs mu > 0
+
+
+FLOWS = {
+    "gradient": Flow(has_v=False, has_gamma=False),
+    "scaled_gradient": Flow(has_v=False, has_gamma=True, gamma0=lambda o: o.lip),
+    "heavy_ball": Flow(has_v=True, has_gamma=False, needs_mu=True),
+    # gamma = 4/t^2 from t = 1
+    "avd_r3": Flow(has_v=True, has_gamma=True, t0=1.0, gamma0=lambda o: 4.0),
+    "hnag": Flow(has_v=True, has_gamma=True, gamma0=lambda o: o.lip),
+}
+FLOW_KINDS = tuple(FLOWS)
 
 
 class DivergenceError(RuntimeError):
@@ -77,10 +93,12 @@ class FlowModel:
     rhs: Callable = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in FLOW_KINDS:
+        if self.kind not in FLOWS:
             raise FlowError(f"unknown flow kind: {self.kind!r}")
-        if self.kind == "heavy_ball" and self.oracle.mu <= 0:
-            raise FlowError("heavy_ball flow requires mu > 0")
+        if FLOWS[self.kind].needs_mu and self.oracle.mu <= 0:
+            raise FlowError(f"{self.kind} flow requires mu > 0")
+        if self.oracle.is_composite:
+            raise FlowError(f"{self.kind} flow moves on grad h alone: smooth objectives only")
         if self.beta_fn is None:
             lip = self.oracle.lip
             object.__setattr__(self, "beta_fn", lambda t: 1.0 / lip)
@@ -88,11 +106,20 @@ class FlowModel:
 
     @property
     def has_v(self) -> bool:
-        return _HAS_V[self.kind]
+        return FLOWS[self.kind].has_v
 
     @property
     def has_gamma(self) -> bool:
-        return _HAS_GAMMA[self.kind]
+        return FLOWS[self.kind].has_gamma
+
+
+def start_state(model: FlowModel, x0, v0=None) -> FlowState:
+    """The model's start state at x0: its kind's t0 and gamma0, and v0 (x0
+    when none is given) for a kind with v.  x and v are copies."""
+    flow = FLOWS[model.kind]
+    v = np.array(x0 if v0 is None else v0, dtype=float) if flow.has_v else None
+    gamma = flow.gamma0(model.oracle) if flow.has_gamma else None
+    return FlowState(flow.t0, np.array(x0, dtype=float), v, gamma)
 
 
 def _sqrt(a):
@@ -278,13 +305,14 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
 
 
 def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
-                           t_end: float, dt: float, rel_tol: float = 1e-3) -> dict:
+                           t_end: float, dt: float) -> dict:
     """Integrate and compare the Lyapunov value against its decay bound.
 
     The bound accumulates the decay-rate integral along the trajectory by
     the trapezoid rule: exponential decay exp(-int c) for exponent q = 1,
     the algebraic closure ((q-1) int c + L0^(1-q))^(1/(1-q)) for q > 1.
-    A step whose relative excess is not <= rel_tol (NaN included) fails.
+    A step whose relative excess is not <= DECAY_REL_TOL (NaN included)
+    fails.
     """
     from . import lyapunov as lyap_mod
 
@@ -305,14 +333,14 @@ def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
         bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
     val = values[1:]
     excess = (val - bound) / (np.abs(bound) + 1e-300)
-    bad = np.flatnonzero(~(excess <= rel_tol))
+    bad = np.flatnonzero(~(excess <= DECAY_REL_TOL))
     d = traj.x[1:] - oracle.x_star
     err = np.sqrt(rowdot(d, d))
     gamma = [""] * bound.size if traj.gamma is None else traj.gamma[1:].tolist()
     rows = list(zip(t[1:].tolist(), val.tolist(), bound.tolist(), err.tolist(), gamma))
     return {
         "pass": bad.size == 0,
-        "rel_tol": rel_tol,
+        "rel_tol": DECAY_REL_TOL,
         "first_violation_t": float(t[1 + bad[0]]) if bad.size else None,
         "max_rel_excess": float(np.max(excess, initial=0.0, where=~np.isnan(excess))),
         "rows": rows,

@@ -18,12 +18,12 @@ import sys
 import numpy as np
 
 from . import flows, lyapunov, schedules, solvers
-from .problems import InvalidProblemError, problem_from_json
+from .problems import InvalidProblemError, float_array, problem_from_json
 
 log = logging.getLogger("lyapopt")
 
 _RUN_KEYS = {"problem", "solver", "iters", "alpha", "variant", "x0", "v0",
-             "gamma0", "out", "seed", "stop_grad_tol"}
+             "gamma0", "out", "stop_grad_tol"}
 
 
 class ConfigError(ValueError):
@@ -93,19 +93,40 @@ def _load_config(path) -> list:
         for key in ("problem", "solver"):
             if key not in cfg:
                 raise ConfigError(f"config missing required key {key!r}")
+        iters = cfg.get("iters", 100)
+        if type(iters) is not int or iters < 1:
+            raise ConfigError(f"iters must be an integer >= 1, got {iters!r}")
+        for key in ("alpha", "gamma0", "stop_grad_tol"):
+            value = cfg.get(key)
+            finite = type(value) in (int, float) and math.isfinite(value)
+            if value is not None and not finite:
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return configs
+
+
+def _vector(config: dict, key: str, dim: int):
+    """config[key] as a float vector of length dim, or None when the config
+    gives none.  A NaN or infinite entry is let through: the run stops at
+    k = 0 and fails (nonfinite_at_k)."""
+    value = config.get(key)
+    if value is None:
+        return None
+    vec = float_array(value, key)
+    if vec.shape != (dim,):
+        raise ConfigError(f"{key} must be a vector of length {dim}, got {value!r}")
+    return vec
 
 
 def cmd_run(config: dict) -> dict:
     oracle = problem_from_json(config["problem"])
     kind = config["solver"]
-    x0 = config.get("x0")
+    x0 = _vector(config, "x0", oracle.dim)
     if x0 is None:
         x0 = oracle.x0_ref if oracle.x0_ref is not None else np.ones(oracle.dim)
     result = solvers.run(
         oracle, kind,
         x0=np.asarray(x0, dtype=float),
-        v0=None if config.get("v0") is None else np.asarray(config["v0"], dtype=float),
+        v0=_vector(config, "v0", oracle.dim),
         gamma0=config.get("gamma0"),
         iters=int(config.get("iters", 100)),
         alpha=config.get("alpha"),
@@ -145,45 +166,18 @@ def _run_report(result: solvers.RunResult) -> dict:
     }
 
 
-_FLOW_LYAP = {
-    "gradient": lyapunov.pairing_gd_combined,
-    "scaled_gradient": lyapunov.pairing_scaled,
-    "heavy_ball": lyapunov.pairing_hb,
-    "avd_r3": lyapunov.pairing_avd,
-    "hnag": lyapunov.pairing_hnag,
-}
-
-
 def cmd_flow(model_name: str, problem_doc: dict, t_end: float, dt: float,
              out: str = None) -> dict:
     oracle = problem_from_json(problem_doc)
-    if model_name not in _FLOW_LYAP:
-        raise ConfigError(f"unknown flow model: {model_name!r}")
-    if model_name == "gradient" and oracle.mu == 0:
-        model, lyap = lyapunov.pairing_gf_convex(oracle)
-    else:
-        model, lyap = _FLOW_LYAP[model_name](oracle)
-    if model_name == "avd_r3":
-        # gamma = 4/t^2 from the initial time t1 = 1
-        state0 = flows.FlowState(t=1.0, x=_default_x0(oracle),
-                                 v=_default_x0(oracle), gamma=4.0)
-    else:
-        x0 = _default_x0(oracle)
-        v0 = x0.copy() if model.has_v else None
-        gamma0 = oracle.lip if model.has_gamma else None
-        state0 = flows.FlowState(t=0.0, x=x0, v=v0, gamma=gamma0)
+    model, lyap = lyapunov.flow_pairing(model_name, oracle)
+    x0 = oracle.x0_ref if oracle.x0_ref is not None else oracle.x_star + 1.0
+    state0 = flows.start_state(model, x0)
     report = flows.continuous_decay_check(model, lyap, state0, t_end, dt)
     if out:
         write_csv(out, ("t", "lyapunov", "bound", "x_norm_err", "gamma"), report["rows"])
         log.info("trajectory written to %s", out)
     log.info("flow %s: %s", model_name, "PASS" if report["pass"] else "FAIL")
     return report
-
-
-def _default_x0(oracle) -> np.ndarray:
-    if oracle.x0_ref is not None:
-        return np.asarray(oracle.x0_ref, dtype=float).copy()
-    return oracle.x_star + np.ones(oracle.dim)
 
 
 def cmd_verify_lyapunov(pairing: str, samples: int, seed: int,

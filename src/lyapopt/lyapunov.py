@@ -150,7 +150,10 @@ def _kept_blocks(rng, samples: int, width: int, rejects=None):
 
 def _report(blocks, samples: int) -> dict:
     """The verdict over (slack, tol, points, draws) blocks: the worst slack
-    and its first point, as sampled_verdict gives them over all samples."""
+    and its first point, as sampled_verdict gives them over all samples.
+    No samples certify nothing, so samples < 1 raises."""
+    if samples < 1:
+        raise LyapunovConfigError(f"samples must be >= 1, got {samples}")
     n = violations = draws = 0
     worst, arg_min = math.inf, None
     for slack, tol, points, draws in blocks:
@@ -200,24 +203,21 @@ def _sample_states(flow: flows.FlowModel, samples: int, seed: int,
 
 
 def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
-                           samples: int, seed: int,
-                           f0_level: Optional[float] = None) -> dict:
+                           samples: int, seed: int) -> dict:
     """Sampled check of -grad(L) . G >= c L^q + p^2.
 
-    For domain "sublevel" only states with f(x) <= f0_level are kept
-    (rejection sampling, capped at 200x the requested count).
+    For domain "sublevel" only states with f(x) <= the oracle's f0_level
+    are kept (rejection sampling, capped at 200x the requested count).
     PASS iff every slack is >= -1e-9 (1 + |L|^q); a NaN slack is a
     violation.
     """
     if lyap.strong_params is None:
         raise LyapunovConfigError("Lyapunov spec has no strong-condition parameters")
+    f0_level = None
     if lyap.domain == "sublevel":
-        if f0_level is None:
-            f0_level = flow.oracle.f0_level
+        f0_level = flow.oracle.f0_level
         if f0_level is None:
             raise LyapunovConfigError("sublevel domain needs an f0 level")
-    else:
-        f0_level = None
     params = lyap.strong_params
 
     def blocks():
@@ -381,6 +381,17 @@ _SMOOTH_PAIRINGS = {
 }
 _COMPOSITE_PAIRINGS = {"composite_sc": _lasso_sc, "composite_convex": _lasso_convex}
 PAIRING_NAMES = (*_SMOOTH_PAIRINGS, *_COMPOSITE_PAIRINGS)
+_FLOW_PAIRINGS = {"gradient": "gd_combined", "scaled_gradient": "scaled",
+                  "heavy_ball": "hb", "avd_r3": "avd", "hnag": "hnag"}
+
+
+def flow_pairing(kind: str, oracle: ProblemOracle):
+    """(model, spec) of the pairing that checks the flow kind on the oracle;
+    gradient flow with mu = 0 is checked on its sublevel set (gf_convex)."""
+    if kind not in _FLOW_PAIRINGS:
+        raise LyapunovConfigError(f"unknown flow model: {kind!r}")
+    name = "gf_convex" if kind == "gradient" and oracle.mu == 0 else _FLOW_PAIRINGS[kind]
+    return _SMOOTH_PAIRINGS[name](oracle)
 
 
 def verify_pairing(name: str, samples: int, seed: int,

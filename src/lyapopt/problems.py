@@ -17,6 +17,7 @@ the same point passed alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -92,8 +93,20 @@ def _identity(w, s):
     return np.asarray(w, dtype=float)
 
 
+def float_array(v, name: str) -> np.ndarray:
+    """v as a float array; an array of strings, bools or None, or a ragged
+    one, is refused."""
+    try:
+        arr = np.asarray(v)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidProblemError(f"{name} must be an array of numbers")
+    return np.asarray(arr, dtype=float)
+
+
 def _as_vector(v, name: str) -> Vector:
-    arr = np.asarray(v, dtype=float)
+    arr = float_array(v, name)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidProblemError(f"{name} must be a nonempty 1-D array")
     if not np.isfinite(arr).all():
@@ -206,7 +219,7 @@ def make_lasso(a_matrix, b, rho: float) -> ProblemOracle:
     smoothness constant).  The reference minimizer is computed by a long
     accelerated proximal gradient run polished on the detected support.
     """
-    a = np.asarray(a_matrix, dtype=float)
+    a = float_array(a_matrix, "a_matrix")
     b = _as_vector(b, "b")
     if a.ndim != 2 or a.shape[0] != b.size:
         raise InvalidProblemError("a_matrix must be 2-D with rows matching b")
@@ -285,8 +298,8 @@ def make_logcosh(scale: float, dim: int = 1) -> ProblemOracle:
     # written so that a NaN fails it
     if not 0 < scale < math.inf:
         raise InvalidProblemError("scale must be positive and finite")
-    if dim < 1:
-        raise InvalidProblemError("dim must be >= 1")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise InvalidProblemError(f"dim must be an integer >= 1, got {dim!r}")
 
     def eval_h(x):
         a = np.abs(np.asarray(x, dtype=float))
@@ -384,8 +397,15 @@ def problem_from_json(doc: dict) -> ProblemOracle:
     if kind == "quadratic":
         return make_quadratic(doc["eigs"], doc["b"])
     if kind == "lasso":
-        return make_lasso(doc["a_matrix"], doc["b"], float(doc["rho"]))
-    return make_logcosh(float(doc["scale"]), int(doc.get("dim", 1)))
+        return make_lasso(doc["a_matrix"], doc["b"], _number(doc["rho"], "rho"))
+    return make_logcosh(_number(doc["scale"], "scale"), doc.get("dim", 1))
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a string, bool, null or list is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidProblemError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def sample_box(rng: np.random.Generator, center: Vector, radius: float, n: int) -> np.ndarray:

@@ -84,6 +84,15 @@ class TestCurvatureBounds:
         assert report["upper_L"]["violations"] > 0
 
 
+@pytest.mark.parametrize("check", [calculus.check_bounds_lemma1,
+                                   calculus.check_minimum_bounds])
+@pytest.mark.parametrize("samples", [0, -5])
+def test_no_samples_refused(check, samples):
+    # zero samples reported zero violations, which callers read as a pass
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check(QUAD, samples=samples, seed=0)
+
+
 def reference_lemma1(oracle, samples, seed):
     """check_bounds_lemma1 one pair at a time: [worst, arg_worst, violations]."""
     rng = box_rng(seed)

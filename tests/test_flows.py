@@ -13,7 +13,7 @@ from lyapopt.flows import (
     continuous_decay_check,
     integrate,
 )
-from lyapopt.problems import make_logcosh, make_quadratic
+from lyapopt.problems import make_lasso, make_logcosh, make_quadratic
 
 QUAD = make_quadratic([1.0, 4.0], [1.0, -2.0])
 
@@ -219,6 +219,57 @@ class TestExactSolutions:
         assert str(info.value) == "integration diverged at t=3"
         assert info.value.last_state.t == 1.0
         assert info.value.last_state.gamma == 4.0
+
+
+class TestStartState:
+    """start_state builds the start states that test_09_continuous_decay,
+    TestDecayChecks and scripts/verify_certificates.py write by hand."""
+
+    X0 = np.array([4.0, -3.0])
+
+    @pytest.mark.parametrize("pairing, by_hand", [
+        (lyapunov.pairing_gd_combined, lambda o, x0: FlowState(0.0, x0)),
+        (lyapunov.pairing_scaled, lambda o, x0: FlowState(0.0, x0, gamma=o.lip)),
+        (lyapunov.pairing_hb, lambda o, x0: FlowState(0.0, x0, v=np.zeros(2))),
+        (lyapunov.pairing_avd, lambda o, x0: FlowState(1.0, x0, v=np.zeros(2), gamma=4.0)),
+        (lyapunov.pairing_hnag, lambda o, x0: FlowState(0.0, x0, v=np.zeros(2), gamma=o.lip)),
+        (lyapunov.pairing_gf_convex, lambda o, x0: FlowState(0.0, o.x0_ref)),
+    ], ids=["gradient", "scaled_gradient", "heavy_ball", "avd_r3", "hnag", "gf_convex"])
+    def test_matches_hand_built_state(self, pairing, by_hand):
+        model, _ = pairing()
+        o = model.oracle
+        x0 = o.x0_ref if o.x0_ref is not None else self.X0
+        built = flows.start_state(model, x0, v0=np.zeros(2))
+        want = by_hand(o, x0)
+        assert type(built.t) is type(want.t) and built.t == want.t
+        assert type(built.gamma) is type(want.gamma) and built.gamma == want.gamma
+        assert built.x.dtype == want.x.dtype and np.array_equal(built.x, want.x)
+        if want.v is None:
+            assert built.v is None
+        else:
+            assert built.v.dtype == want.v.dtype and np.array_equal(built.v, want.v)
+
+    def test_v_defaults_to_a_copy_of_x0(self):
+        model = FlowModel("hnag", QUAD)
+        x0 = np.array([4.0, -3.0])
+        st = flows.start_state(model, x0)
+        assert np.array_equal(st.v, x0) and st.v is not st.x and st.x is not x0
+
+    def test_every_kind_has_a_record(self):
+        assert flows.FLOW_KINDS == tuple(flows.FLOWS)
+        for kind, flow in flows.FLOWS.items():
+            model = FlowModel(kind, QUAD)
+            assert (model.has_v, model.has_gamma) == (flow.has_v, flow.has_gamma)
+            assert (flow.gamma0 is not None) == flow.has_gamma
+
+
+class TestCompositeRefused:
+    # every field moves on grad_h alone, so the l1 term would be dropped
+    @pytest.mark.parametrize("kind", flows.FLOW_KINDS)
+    def test_lasso_refused(self, kind):
+        lasso = make_lasso([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 0.0, 1.0], 0.3)
+        with pytest.raises(FlowError, match="smooth objectives only"):
+            FlowModel(kind, lasso)
 
 
 class TestDecayChecks:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lyapopt import flows, harness, lyapunov, solvers
-from lyapopt.problems import make_quadratic
+from lyapopt.problems import make_quadratic, problem_from_json
 from lyapopt.harness import ConfigError, main
 
 
@@ -132,6 +132,37 @@ class TestFlowCommand:
         assert main(["flow", "--model", "verlet", "--problem", problem,
                      "--t-end", "1.0", "--dt", "0.01"]) == 2
 
+    @pytest.mark.parametrize("problem, pairing", [
+        ({"kind": "logcosh", "scale": 2.0, "dim": 2}, lyapunov.pairing_gf_convex),
+        (QUAD_PROBLEM, lyapunov.pairing_gd_combined),
+    ], ids=["logcosh-gf_convex", "quadratic-gd_combined"])
+    def test_gradient_flow_pairing(self, tmp_path, capsys, problem, pairing):
+        # mu = 0 takes the sublevel-set pairing, mu > 0 the mu-augmented gap
+        out = tmp_path / "traj.csv"
+        assert main(["flow", "--model", "gradient", "--problem",
+                     write_json(tmp_path / "p.json", problem),
+                     "--t-end", "2", "--dt", "0.01", "--out", str(out)]) == 0
+        oracle = problem_from_json(problem)
+        model, lyap = pairing(oracle)
+        x0 = oracle.x0_ref if oracle.x0_ref is not None else oracle.x_star + 1.0
+        rows = flows.continuous_decay_check(model, lyap, flows.FlowState(0.0, x0),
+                                            2.0, 0.01)["rows"]
+        harness.write_csv(tmp_path / "want.csv",
+                          ("t", "lyapunov", "bound", "x_norm_err", "gamma"), rows)
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("model", flows.FLOW_KINDS)
+    def test_composite_problem_exit_2(self, tmp_path, capsys, model):
+        # each integrated the flow on grad_h alone, dropping the l1 term,
+        # and ended in a decay verdict (exit 0 or 1)
+        out = tmp_path / "traj.csv"
+        assert main(["flow", "--model", model, "--problem",
+                     write_json(tmp_path / "p.json", LASSO_PROBLEM),
+                     "--t-end", "5", "--dt", "1e-3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smooth objectives only" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t_end", ["1e300", "1e9"])
     def test_unallocatable_trajectory_exit_2(self, tmp_path, capsys, t_end):
         # 1e300 / 1e-3 steps made np.empty raise a bare ValueError (exit 1);
@@ -164,6 +195,14 @@ class TestVerifyCommand:
 
     def test_unknown_pairing_exit_2(self):
         assert main(["verify-lyapunov", "--pairing", "mystery"]) == 2
+
+    @pytest.mark.parametrize("pairing", ["hb", "gf_convex", "composite_sc"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_samples_exit_2(self, capsys, pairing, samples):
+        # zero samples printed "pass": true (exit 0), and -5 exited 1
+        assert main(["verify-lyapunov", "--pairing", pairing, "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples must be >= 1" in captured.err
 
 
 class TestRatesCommand:
@@ -319,6 +358,51 @@ class TestNonFiniteProblem:
             assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+
+class TestMalformedProblem:
+    # each exited 1 with a traceback, or (dim 2.7, dim true, rho "0.3") ran
+    # on a truncated or converted value
+    @pytest.mark.parametrize("command", ["run", "flow"])
+    @pytest.mark.parametrize("problem", [
+        {"kind": "logcosh", "scale": 2.0, "dim": math.nan},
+        {"kind": "logcosh", "scale": 2.0, "dim": 2.7},
+        {"kind": "logcosh", "scale": 2.0, "dim": True},
+        {"kind": "logcosh", "scale": "two", "dim": 2},
+        {"kind": "quadratic", "eigs": [1.0, "a"], "b": [1.0, -2.0]},
+        {"kind": "quadratic", "eigs": [[1.0], [4.0, 2.0]], "b": [1.0, -2.0]},
+        dict(LASSO_PROBLEM, a_matrix=[[1.0, "a"], [0.0, 1.0], [1.0, 1.0]]),
+        dict(LASSO_PROBLEM, rho="0.3"),
+    ], ids=["dim-nan", "dim-2.7", "dim-true", "scale-str", "eigs-str", "eigs-ragged",
+            "a-str", "rho-str"])
+    def test_usage_error_exit_2(self, tmp_path, capsys, command, problem):
+        if command == "run":
+            cfg = {"problem": problem, "solver": "pg", "iters": 10}
+            args = ["run", "--config", write_json(tmp_path / "cfg.json", cfg)]
+        else:
+            args = ["flow", "--model", "gradient", "--problem",
+                    write_json(tmp_path / "p.json", problem), "--t-end", "1", "--dt", "0.01"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be" in captured.err
+
+
+class TestBadRunConfig:
+    # each ran (iters 0 and -3 passed with "iters": 0, 2.5 ran 2 steps, v0
+    # of the wrong length and seed were ignored) or exited 1 with a traceback
+    @pytest.mark.parametrize("change", [
+        {"iters": 0}, {"iters": -3}, {"iters": 2.5}, {"iters": "abc"}, {"iters": None},
+        {"iters": True}, {"alpha": "x"}, {"alpha": math.nan}, {"gamma0": math.inf},
+        {"stop_grad_tol": "x"}, {"x0": [1.0, "a"]}, {"x0": [1.0, 2.0, 3.0]},
+        {"v0": [1.0, 2.0, 3.0]}, {"seed": 0},
+    ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
+    def test_usage_error_exit_2(self, tmp_path, capsys, change):
+        out = tmp_path / "trace.csv"
+        cfg = dict(gd_config(str(out)), **change)
+        assert main(["run", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert next(iter(change)) in captured.err
 
 
 class TestSmoothOnlyKinds:

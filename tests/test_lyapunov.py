@@ -162,6 +162,34 @@ class TestStrongConditionCheck:
         with pytest.raises(LyapunovConfigError):
             verify_pairing("mystery", 10, 0)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_refused(self, samples):
+        # zero samples reported "pass": true
+        model, lyap = lyapunov.pairing_hb()
+        with pytest.raises(LyapunovConfigError, match="samples must be >= 1"):
+            strong_condition_check(model, lyap, samples, 0)
+        with pytest.raises(LyapunovConfigError, match="samples must be >= 1"):
+            lyapunov.composite_condition_check(lyapunov._lasso_sc(), samples, 0)
+
+    @pytest.mark.parametrize("kind, oracle, name", [
+        ("gradient", make_quadratic([1.0, 4.0], [1.0, -2.0]), "gd_combined"),
+        ("gradient", make_logcosh(2.0, dim=2), "gf_convex"),
+        ("scaled_gradient", make_logcosh(2.0, dim=2), "scaled"),
+        ("heavy_ball", make_quadratic([1.0, 4.0], [1.0, -2.0]), "hb"),
+        ("avd_r3", make_quadratic([1.0, 4.0], [1.0, -2.0]), "avd"),
+        ("hnag", make_quadratic([1.0, 4.0], [1.0, -2.0]), "hnag"),
+    ])
+    def test_flow_pairing(self, kind, oracle, name):
+        model, lyap = lyapunov.flow_pairing(kind, oracle)
+        want_model, want = lyapunov._SMOOTH_PAIRINGS[name](oracle)
+        assert model.kind == want_model.kind == kind and model.oracle is oracle
+        assert (lyap.kind, lyap.domain, lyap.strong_params.q) == \
+            (want.kind, want.domain, want.strong_params.q)
+
+    def test_flow_pairing_unknown_kind(self):
+        with pytest.raises(LyapunovConfigError, match="unknown flow model"):
+            lyapunov.flow_pairing("verlet", make_quadratic([1.0], [0.0]))
+
     def test_composite_pairing_needs_composite(self):
         with pytest.raises(LyapunovConfigError):
             lyapunov.composite_condition_check(QUAD, 10, 0)
