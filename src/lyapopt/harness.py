@@ -22,8 +22,8 @@ from .problems import InvalidProblemError, float_array, problem_from_json
 
 log = logging.getLogger("lyapopt")
 
-_RUN_KEYS = {"problem", "solver", "iters", "alpha", "variant", "x0", "v0",
-             "gamma0", "out", "stop_grad_tol"}
+_RUN_KEYS = {"problem", "solver", "iters", "alpha", "x0", "v0", "gamma0", "out",
+             "stop_grad_tol"}
 
 
 class ConfigError(ValueError):
@@ -93,6 +93,12 @@ def _load_config(path) -> list:
         for key in ("problem", "solver"):
             if key not in cfg:
                 raise ConfigError(f"config missing required key {key!r}")
+        if not isinstance(cfg["solver"], str):
+            raise ConfigError(f"solver must be a string, got {cfg['solver']!r}")
+        # open() would take an int (or a bool) as a file descriptor
+        out = cfg.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"out must be a file name, got {out!r}")
         iters = cfg.get("iters", 100)
         if type(iters) is not int or iters < 1:
             raise ConfigError(f"iters must be an integer >= 1, got {iters!r}")
@@ -130,7 +136,6 @@ def cmd_run(config: dict) -> dict:
         gamma0=config.get("gamma0"),
         iters=int(config.get("iters", 100)),
         alpha=config.get("alpha"),
-        variant=config.get("variant", "sqrt"),
         stop_grad_tol=config.get("stop_grad_tol"),
     )
     out = config.get("out")

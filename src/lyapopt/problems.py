@@ -161,53 +161,38 @@ def soft_threshold(w: Vector, t: float) -> Vector:
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
 
+# every LASSO oracle's f* is within LASSO_GAP_TOL (1 + f*) of the optimum
+LASSO_GAP_TOL = 1e-12
+LASSO_MAX_STEPS = 200_000
+
+
 def _lasso_reference_solution(
     a: np.ndarray, b: Vector, rho: float, mu: float, lip: float
 ) -> Vector:
-    """High-accuracy LASSO minimizer: accelerated proximal gradient run to
-    near machine precision, then a direct solve on the detected support."""
-    m, n = a.shape
-    gram_rhs = a.T @ b
-
-    def grad_h(x):
-        return a.T @ (a @ x) - gram_rhs
-
-    # accelerated proximal gradient (gamma0 = lip)
-    x = np.zeros(n)
-    v = x.copy()
-    y = x - grad_h(x) / lip
+    """The LASSO minimizer by accelerated proximal gradient (gamma0 = lip),
+    returned at the first step whose duality gap meets LASSO_GAP_TOL."""
+    x = v = np.zeros(a.shape[1])
+    y = (a.T @ b) / lip  # a gradient step from x = 0
     alpha = 1.0  # sqrt(gamma0 / lip)
-    gm_norm = np.inf
-    for _ in range(200_000):
+    for _ in range(LASSO_MAX_STEPS):
         w = (y + alpha * v) / (1.0 + alpha)
         s = 1.0 / (lip * (1.0 + alpha))
-        x_new = soft_threshold(w, s * rho)
-        y_new = x_new - grad_h(x_new) / lip
-        v = x_new + (y_new - y) / (alpha + mu / lip)
-        alpha = math.sqrt((alpha * alpha + alpha * mu / lip) / (1.0 + alpha))
-        x, y = x_new, y_new
-        gm = lip * (x - soft_threshold(x - grad_h(x) / lip, rho / lip))
-        gm_norm = np.linalg.norm(gm)
-        if gm_norm < 1e-12:
-            break
-
-    # polish: solve the reduced smooth system on the support
-    support = np.abs(x) > 1e-10 * max(1.0, float(np.abs(x).max()))
-    if support.any():
-        a_s = a[:, support]
-        sgn = np.sign(x[support])
-        try:
-            z = np.linalg.solve(a_s.T @ a_s, a_s.T @ b - rho * sgn)
-        except np.linalg.LinAlgError:
+        x = soft_threshold(w, s * rho)
+        r = a @ x - b
+        grad = a.T @ r
+        # theta = -c r with c = min(1, rho / |A^T r|_inf) is dual feasible, and
+        # f(x) - f* <= f(x) - D(theta) = f(x) + c <r, b> + c^2 |r|^2 / 2
+        c = rho / max(rho, np.abs(grad).max())
+        f = 0.5 * np.dot(r, r) + rho * np.abs(x).sum()
+        gap = f + c * np.dot(r, b) + 0.5 * c * c * np.dot(r, r)
+        if gap <= LASSO_GAP_TOL * (1.0 + f):
             return x
-        if np.all(np.sign(z) == sgn):
-            resid = a_s @ z - b
-            dual = np.abs(a.T @ resid)
-            if np.all(dual[~support] <= rho * (1.0 + 1e-8)):
-                polished = np.zeros(n)
-                polished[support] = z
-                return polished
-    return x
+        y_new = x - grad / lip
+        v = x + (y_new - y) / (alpha + mu / lip)
+        alpha = math.sqrt((alpha * alpha + alpha * mu / lip) / (1.0 + alpha))
+        y = y_new
+    raise InvalidProblemError(f"LASSO reference: duality gap above {LASSO_GAP_TOL:g} "
+                              f"(1 + f) after {LASSO_MAX_STEPS} steps")
 
 
 def make_lasso(a_matrix, b, rho: float) -> ProblemOracle:
@@ -216,8 +201,8 @@ def make_lasso(a_matrix, b, rho: float) -> ProblemOracle:
     lip is the top eigenvalue of A^T A and mu the bottom one (0 for wide
     A), both from one symmetric eigendecomposition, exact up to round-off
     (an iterative estimate of lip stops below it: the unsafe side for a
-    smoothness constant).  The reference minimizer is computed by a long
-    accelerated proximal gradient run polished on the detected support.
+    smoothness constant).  f* is within LASSO_GAP_TOL (1 + f*) of the
+    optimum by a duality gap, or building raises InvalidProblemError.
     """
     a = float_array(a_matrix, "a_matrix")
     b = _as_vector(b, "b")
@@ -382,6 +367,7 @@ _JSON_KEYS = {
     "lasso": {"kind", "a_matrix", "b", "rho"},
     "logcosh": {"kind", "scale", "dim"},
 }
+_JSON_OPTIONAL = {"dim"}
 
 
 def problem_from_json(doc: dict) -> ProblemOracle:
@@ -389,11 +375,14 @@ def problem_from_json(doc: dict) -> ProblemOracle:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidProblemError("problem document must be an object with a 'kind'")
     kind = doc["kind"]
-    if kind not in _JSON_KEYS:
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
         raise InvalidProblemError(f"unknown problem kind: {kind!r}")
     extra = set(doc) - _JSON_KEYS[kind]
     if extra:
         raise InvalidProblemError(f"unknown keys for {kind}: {sorted(extra)}")
+    missing = _JSON_KEYS[kind] - _JSON_OPTIONAL - set(doc)
+    if missing:
+        raise InvalidProblemError(f"{kind} must have the keys {sorted(missing)}")
     if kind == "quadratic":
         return make_quadratic(doc["eigs"], doc["b"])
     if kind == "lasso":

@@ -359,10 +359,11 @@ class Method(NamedTuple):
     # a gradient step from x0
     blocks: tuple = ()
     certificate: bool = True  # False: slack is a diagnostic, and certifies nothing
-    # (oracle, alpha) -> whether slack certifies a run with this alpha; a
-    # run outside that range is uncertified and records no slack
-    in_range: Callable = lambda oracle, alpha: True
-    default_alpha: Callable = lambda oracle, variant: None
+    # (oracle, alpha, start state) -> whether the run is inside the premises
+    # of slack and bound; a run outside them is uncertified and records no
+    # slack and no bound
+    in_range: Callable = lambda oracle, alpha, start: True
+    default_alpha: Callable = lambda oracle: None
     # (rho, block) -> the contraction factor after each row, from rho before
     rho: Callable = lambda rho, block: _divided(rho, 1.0 + block.col("alpha"))
     residual_sq: Callable = _grad_sq  # squared grad-norm residual per row
@@ -372,23 +373,20 @@ class Method(NamedTuple):
     smooth: bool = False
 
 
-def _unit_alpha(oracle, variant):
+def _unit_alpha(oracle):
     return 1.0
 
 
-def _gd_in_range(oracle, alpha):
-    return not (alpha <= 0 or alpha > 2.0 / (oracle.lip + oracle.mu) + 1e-15)
+def _gd_in_range(oracle, alpha, start):
+    return alpha <= 2.0 / (oracle.lip + oracle.mu) + 1e-15
 
 
-def _gd_bound(oracle, gamma0, alpha, ks, rho, q0):
-    if alpha > 2.0 / (oracle.lip + oracle.mu) + 1e-15:
-        return _nans(ks)
-    return _powers(q0, 1.0 - oracle.mu * alpha, ks)
-
-
-def _pg_in_range(oracle, alpha):
+def _pg_in_range(oracle, alpha, start):
+    # with mu = 0 the rate rests on radius_r0, which bounds |x - x*| only on
+    # the sublevel set {f <= f0_level}: the start must lie in it
     return (not abs(alpha - 1.0 / oracle.lip) > 1e-15
-            and (oracle.mu > 0 or oracle.radius_r0 is not None))
+            and (oracle.mu > 0 or (oracle.radius_r0 is not None
+                                   and oracle.eval_f(start.x) <= oracle.f0_level)))
 
 
 def _pg_slack(oracle, b, q_old, q_new):
@@ -403,8 +401,6 @@ def _pg_bound(oracle, gamma0, alpha, ks, rho, q0):
     mu, lip = oracle.mu, oracle.lip
     if mu > 0:
         return _powers(q0, 1.0 + mu / lip, [-k for k in ks])
-    if oracle.radius_r0 is None:
-        return _nans(ks)
     c2 = 1.0 / (2.0 * lip * oracle.radius_r0 ** 2)
     delta = c2 * q0 / (1.0 + c2 * q0)
     return (1.0 + delta) * q0 / (1.0 + c2 * q0 * np.array(ks))
@@ -464,12 +460,13 @@ METHODS = {
     "gd": Method(
         step=lambda o, s, a: step_gd(o, s, a), form="combined_mu",
         slack=lambda o, b, q_old, q_new: (1.0 - o.mu * b.col("alpha")) * q_old - q_new,
-        in_range=_gd_in_range, bound=_gd_bound,
-        default_alpha=lambda o, variant: 2.0 / (o.lip + o.mu), smooth=True),
+        in_range=_gd_in_range,
+        bound=lambda o, g0, a, ks, rho, q0: _powers(q0, 1.0 - o.mu * a, ks),
+        default_alpha=lambda o: 2.0 / (o.lip + o.mu), smooth=True),
     "pg": Method(
         step=lambda o, s, a: step_pg(o, s, a), form="opt_gap",
         slack=_pg_slack, in_range=_pg_in_range, bound=_pg_bound,
-        default_alpha=lambda o, variant: 1.0 / o.lip,
+        default_alpha=lambda o: 1.0 / o.lip,
         residual_sq=lambda o, b: _rowsq(b.aux("d_next"))),
     "scaled_ppa": Method(
         step=lambda o, s, a: step_scaled_ppa(o, s, a), form="scaled",
@@ -482,7 +479,7 @@ METHODS = {
     "momentum": Method(
         step=lambda o, s, a: step_momentum(o, s, a), form="hb",
         slack=_alpha_slack, bound=_measured_bound, blocks=("v",),
-        default_alpha=lambda o, variant: schedules.momentum_alpha(o.mu, o.lip, variant),
+        default_alpha=lambda o: schedules.momentum_alpha(o.mu, o.lip, "sqrt"),
         smooth=True),
     "avd_gs": Method(
         step=lambda o, s, a: step_avd(o, s, "gs", a), form="avd_nag",
@@ -505,8 +502,7 @@ METHODS = {
         step=lambda o, s, a: step_apg(o, s), form="avd_nag",
         slack=lambda o, b, q_old, q_new: (q_old - b.aux("resid_sq") / (2.0 * o.lip))
         / (1.0 + b.aux("step_alpha")) - q_new,
-        bound=_schedule_bound("b0"), blocks=("v", "y", "gamma", "alpha"),
-        rho=lambda rho, b: _divided(rho, 1.0 + b.aux("step_alpha"))),
+        bound=_schedule_bound("b0"), blocks=("v", "y", "gamma", "alpha")),
     "apg_fast_grad": Method(
         step=lambda o, s, a: step_apg_fast_grad(o, s), form="avd_nag",
         slack=lambda o, b, q_old, q_new: (q_old - b.aux("d_next_sq") / (4.0 * o.lip))
@@ -588,7 +584,7 @@ def _steps(oracle: ProblemOracle, method: Method, state: SolverState, alpha, n: 
 
 def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
         iters: int = 100, alpha: Optional[float] = None,
-        variant: str = "sqrt", stop_grad_tol: Optional[float] = None) -> RunResult:
+        stop_grad_tol: Optional[float] = None) -> RunResult:
     """Run a solver and record the Lyapunov trace with certificate slacks.
 
     The steps run one after another, RUN_BLOCK at a time, and each block's
@@ -597,7 +593,9 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
     and reports its k as nonfinite_at_k, or at the first record whose grad
     norm is below stop_grad_tol; later rows of its block are dropped.  A
     step that raises ends the run with its exception unless a row before it
-    stops the run.
+    stops the run.  A run outside its kind's premises (Method.in_range) is
+    uncertified and records no slack and no bound.  An alpha that is not
+    positive raises UnsupportedSolverError.
     """
     method = _method(kind)
     if method.smooth and oracle.is_composite:
@@ -605,7 +603,11 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
             f"{kind} handles smooth objectives; use pg, apg, apg_fast_grad or new_apg")
     state = init_state(oracle, kind, x0, v0, gamma0)
     if alpha is None:
-        alpha = method.default_alpha(oracle, variant)
+        alpha = method.default_alpha(oracle)
+    elif not alpha > 0:
+        raise UnsupportedSolverError(f"alpha must be positive, got {alpha!r}")
+    in_range = method.in_range(oracle, alpha, state)
+    bound = method.bound if in_range else _no_bound
     gamma0 = state.gamma
     start = Block(oracle, None, [state])
     # no step has made a residual yet: the start's is its gradient
@@ -614,10 +616,9 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
     q0, rho = float(q_cur[0]), 1.0
     columns = [TraceRecord(
         k=np.zeros(1, dtype=int), f_gap=gap, lyapunov=l_cur,
-        bound=method.bound(oracle, gamma0, alpha, range(1), np.ones(1), q0),
+        bound=bound(oracle, gamma0, alpha, range(1), np.ones(1), q0),
         slack=np.full(1, math.nan), grad_norm=gnorm, alpha=np.full(1, math.nan),
         gamma=start.col("gamma"), bounded=q_cur)]
-    in_range = method.in_range(oracle, alpha)
     certified = True
     violations = 0
     nonfinite_at_k = None if _first_stop(gap, l_cur, gnorm, None) is None else 0
@@ -652,7 +653,7 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
             ks = range(done + 1, done + n + 1)
             columns.append(TraceRecord(
                 k=np.arange(ks.start, ks.stop), f_gap=gap, lyapunov=lyap,
-                bound=method.bound(oracle, gamma0, alpha, ks, rhos, q0),
+                bound=bound(oracle, gamma0, alpha, ks, rhos, q0),
                 slack=slack, grad_norm=gnorm, alpha=block.col("alpha"),
                 gamma=block.col("gamma"), bounded=q))
             state, l_cur, q_cur, rho = block.states[-1], lyap, q, float(rhos[-1])

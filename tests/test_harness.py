@@ -405,6 +405,50 @@ class TestBadRunConfig:
         assert next(iter(change)) in captured.err
 
 
+MALFORMED_PROBLEMS = {
+    "quadratic-no-eigs": {"kind": "quadratic", "b": [1.0, -2.0]},
+    "lasso-no-rho": {k: v for k, v in LASSO_PROBLEM.items() if k != "rho"},
+    "logcosh-no-scale": {"kind": "logcosh", "dim": 2},
+    "kind-list": dict(QUAD_PROBLEM, kind=["quadratic"]),
+}
+MALFORMED_CONFIGS = {
+    "solver-list": {"solver": ["gd"]},
+    "out-1": {"out": 1},
+    "out-true": {"out": True},
+    "out-list": {"out": ["a"]},
+    "variant": {"variant": "sqrt"},
+    "ppa-alpha-negative": {"solver": "ppa", "alpha": -0.5},
+    "gd-alpha-zero": {"alpha": 0},
+}
+
+
+class TestMalformedDocument:
+    # each exited 1 with a traceback, but for "out" 1 and true, which wrote
+    # the trace to file descriptor 1 and closed it, and for "variant" and
+    # the alphas, which ran and passed (exit 0; ppa at -0.5 was certified,
+    # with a bound of 2^k)
+    @pytest.mark.parametrize("command, change", [
+        *((command, {"problem": problem}) for command in ("run", "flow")
+          for problem in MALFORMED_PROBLEMS.values()),
+        *(("run", change) for change in MALFORMED_CONFIGS.values()),
+    ], ids=[*(f"{command}-{name}" for command in ("run", "flow")
+              for name in MALFORMED_PROBLEMS),
+            *(f"run-{name}" for name in MALFORMED_CONFIGS)])
+    def test_usage_error_exit_2(self, tmp_path, monkeypatch, capfd, command, change):
+        monkeypatch.chdir(tmp_path)
+        if command == "run":
+            args = ["run", "--config", write_json(tmp_path / "doc.json",
+                                                  dict(gd_config(), **change))]
+        else:
+            args = ["flow", "--model", "gradient", "--problem",
+                    write_json(tmp_path / "doc.json", change["problem"]),
+                    "--t-end", "1", "--dt", "0.01"]
+        assert main(args) == 2
+        captured = capfd.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 class TestSmoothOnlyKinds:
     # each stepped on grad_h alone, dropping the l1 term, and reported a
     # run with violations on most steps (or a NaN) as certified

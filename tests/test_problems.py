@@ -146,6 +146,37 @@ class TestLasso:
                 assert abs(qi) <= rho + 1e-12
 
 
+def lasso_duality_gap(a, b, rho, x):
+    """f(x) - D(theta) for the dual point theta = b - Ax scaled into
+    |A^T theta|_inf <= rho, where D(theta) = <theta, b> - |theta|^2 / 2."""
+    theta = b - a @ x
+    theta = theta * min(1.0, rho / max(np.abs(a.T @ theta).max(), rho))
+    primal = 0.5 * np.sum((a @ x - b) ** 2) + rho * np.sum(np.abs(x))
+    return primal - (theta @ b - 0.5 * theta @ theta)
+
+
+class TestLassoReferenceGap:
+    """Every LASSO oracle's f* is within LASSO_GAP_TOL (1 + f*) of the
+    optimum, on instances with ties and zero columns too."""
+
+    @pytest.mark.parametrize("a, b, rho", [
+        ([[1, -2, 0], [2, 1, -1], [0, 1, 2], [-1, 0, 1]], [1, -1, 2, 0], 0.5),
+        ([[1, 0, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], [1, 2, -1], 0.3),
+        ([[1, 1, 0.5], [2, 2, -1], [0, 0, 3]], [1, 0, 2], 0.2),
+    ], ids=["integer", "zero-column", "repeated-column"])
+    def test_gap_within_tolerance(self, a, b, rho):
+        o = make_lasso(a, b, rho)
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        gap = lasso_duality_gap(a, b, rho, o.x_star)
+        assert gap <= problems.LASSO_GAP_TOL * (1.0 + o.f_star)
+
+    def test_unreachable_gap_raises(self, monkeypatch):
+        monkeypatch.setattr(problems, "LASSO_GAP_TOL", -1.0)
+        monkeypatch.setattr(problems, "LASSO_MAX_STEPS", 1000)
+        with pytest.raises(InvalidProblemError, match="duality gap"):
+            make_lasso([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 0.0, 1.0], 0.3)
+
+
 class TestLogcosh:
     def test_gradient_is_tanh(self):
         o = make_logcosh(2.0, dim=3)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyapopt import flows, harness, lyapunov, schedules, solvers
-from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic
+from lyapopt.problems import (box_rng, make_lasso, make_logcosh, make_quadratic,
+                              problem_from_json)
 from lyapopt.solvers import (
     SolverState,
     UnsupportedSolverError,
@@ -216,7 +217,7 @@ class TestCertificates:
     @pytest.mark.parametrize("variant", ["sqrt", "root"])
     def test_momentum(self, variant):
         self.check(run(QUAD, "momentum", [4.0, -3.0], iters=1000,
-                       variant=variant))
+                       alpha=schedules.momentum_alpha(QUAD.mu, QUAD.lip, variant)))
 
     def test_nag(self):
         self.check(run(QUAD, "nag", [4.0, -3.0], iters=1000))
@@ -243,8 +244,8 @@ class TestEquivalences:
     @pytest.mark.parametrize("variant", ["sqrt", "root"])
     def test_momentum_two_sequence_form(self, variant):
         x0, v0 = np.array([4.0, -3.0]), np.array([0.0, 1.0])
-        res = run(QUAD, "momentum", x0, v0=v0, iters=60, variant=variant)
         a = schedules.momentum_alpha(QUAD.mu, QUAD.lip, variant)
+        res = run(QUAD, "momentum", x0, v0=v0, iters=60, alpha=a)
         xs = momentum_two_sequence(QUAD, x0, v0, variant, 60)
         st = SolverState(k=0, x=x0.copy(), v=v0.copy())
         for k, x_two in enumerate(xs[1:], start=1):
@@ -267,12 +268,23 @@ class TestRatesAndRunLoop:
                              ("pg", convex_lasso()), ("apg", convex_lasso()),
                              ("new_apg", convex_lasso()),
                              ("apg_fast_grad", convex_lasso())]:
-            res = run(oracle, kind, oracle.x_star + 2.0, iters=300)
+            # pg's convex-case rate holds from a start in {f <= f0_level}
+            x0 = np.zeros(oracle.dim) if kind == "pg" else oracle.x_star + 2.0
+            res = run(oracle, kind, x0, iters=300)
             for rec in res.records:
                 val = rec.lyapunov
                 if kind == "nag":
                     val -= rec.grad_norm ** 2 / (2.0 * oracle.lip)
                 assert val <= rec.bound + 1e-9 * (1.0 + abs(rec.bound)), (kind, rec.k)
+
+    def test_pg_convex_start_above_sublevel_set_uncertified(self):
+        # f(x* + 2) = 559 > f0_level = 5.98: radius_r0 does not bound the run
+        o = convex_lasso()
+        x0 = o.x_star + 2.0
+        assert o.mu == 0 and o.eval_f(x0) > o.f0_level
+        res = run(o, "pg", x0, iters=300)
+        assert not res.certified and res.violations == 0
+        assert np.isnan(res.trace.bound).all() and np.isnan(res.trace.slack).all()
 
     def test_new_apg_sublinear_rate(self):
         o = convex_lasso()
@@ -365,8 +377,7 @@ class TestOracleCallsPerIteration:
     def test_carried_gradient_is_grad_at_x(self, kind):
         oracle = convex_lasso() if kind in COMPOSITE_KINDS else QUAD
         method = solvers.METHODS[kind]
-        alpha = 1.0 / oracle.lip if kind in ("gd", "pg") else \
-            method.default_alpha(oracle, "sqrt")
+        alpha = 1.0 / oracle.lip if kind in ("gd", "pg") else method.default_alpha(oracle)
         state = init_state(oracle, kind, oracle.x_star + 2.0)
         for _ in range(5):
             state = method.step(oracle, state, alpha)
@@ -392,6 +403,12 @@ class TestFailClosed:
 
     def test_finite_run_has_no_nonfinite_k(self):
         assert run(QUAD, "nag", [4.0, -3.0], iters=50).nonfinite_at_k is None
+
+    @pytest.mark.parametrize("kind, alpha", [("ppa", -0.5), ("gd", 0.0), ("pg", -1.0),
+                                             ("nag", 0.0), ("gd", math.nan)])
+    def test_nonpositive_alpha_rejected(self, kind, alpha):
+        with pytest.raises(UnsupportedSolverError, match="alpha must be positive"):
+            run(QUAD, kind, [4.0, -3.0], iters=10, alpha=alpha)
 
     def test_nan_slack_is_a_violation(self, monkeypatch):
         monkeypatch.setitem(solvers.METHODS, "gd",
@@ -419,9 +436,24 @@ def strongly_convex_quadratics(draw):
     return {"kind": "quadratic", "eigs": eigs, "b": draw(coords)}, draw(coords)
 
 
+@st.composite
+def lasso_problems(draw):
+    """A LASSO of 2-10 rows and columns (Gaussian A, with or without
+    + 2 I), rho = 10^U(-1.5, 0.5), as a problem document, and a start point
+    in [-5, 5]^n, which for mu = 0 lies almost always above f0_level."""
+    m, n = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((m, n)) + (2.0 * np.eye(m, n) if draw(st.booleans()) else 0.0)
+    rho = 10.0 ** draw(st.floats(-1.5, 0.5))
+    x0 = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    problem = {"kind": "lasso", "a_matrix": a.tolist(),
+               "b": rng.standard_normal(m).tolist(), "rho": rho}
+    return problem, x0
+
+
 class TestTableProperty:
     """Every kind whose table entry carries a certificate keeps it, with a
-    passing report, on random strongly convex quadratics."""
+    passing report, on random strongly convex quadratics and LASSOs."""
 
     @given(strongly_convex_quadratics())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -431,6 +463,22 @@ class TestTableProperty:
             report = harness.cmd_run({"problem": problem, "solver": kind, "x0": x0})
             assert report["certified"] and report["cert_violations"] == 0, (kind, report)
             assert report["nonfinite_at_k"] is None and report["pass"], (kind, report)
+
+    @given(lasso_problems())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_composite_kinds_pass(self, case):
+        # pg's convex-case rate rests on radius_r0, which covers only the
+        # sublevel set {f <= f0_level}: from a start above it the run is
+        # uncertified, and every other run is certified
+        problem, x0 = case
+        oracle = problem_from_json(problem)
+        outside = oracle.mu == 0 and oracle.eval_f(np.array(x0)) > oracle.f0_level
+        for kind in COMPOSITE_KINDS:
+            report = harness.cmd_run({"problem": problem, "solver": kind, "x0": x0})
+            assert report["certified"] == (not (kind == "pg" and outside)), (kind, report)
+            assert report["cert_violations"] == 0, (kind, report)
+            assert report["nonfinite_at_k"] is None and report["pass"], (kind, report)
+            assert report["max_bound_violation"] is not None, (kind, report)
 
 
 # ---------------------------------------------------------------------------
@@ -458,26 +506,28 @@ def _ref_schedule_bound(rule):
     return bound
 
 
+def _ref_gd_in_range(o, a, x0):
+    return a <= 2.0 / (o.lip + o.mu) + 1e-15
+
+
 def _ref_gd_slack(o, old, new, q_old, q_new):
-    a = new.alpha
-    if a <= 0 or a > 2.0 / (o.lip + o.mu) + 1e-15:
-        return None
-    return (1.0 - o.mu * a) * q_old - q_new
+    return (1.0 - o.mu * new.alpha) * q_old - q_new
 
 
 def _ref_gd_bound(o, g0, a, k, rho, q0):
-    if a > 2.0 / (o.lip + o.mu) + 1e-15:
-        return math.nan
     return q0 * (1.0 - o.mu * a) ** k
 
 
+def _ref_pg_in_range(o, a, x0):
+    # the convex-case rate needs a start inside the sublevel set radius_r0 covers
+    if abs(a - 1.0 / o.lip) > 1e-15:
+        return False
+    return o.mu > 0 or (o.radius_r0 is not None and o.eval_f(x0) <= o.f0_level)
+
+
 def _ref_pg_slack(o, old, new, q_old, q_new):
-    if abs(new.alpha - 1.0 / o.lip) > 1e-15:
-        return None
     if o.mu > 0:
         return q_old / (1.0 + o.mu / o.lip) - q_new
-    if o.radius_r0 is None:
-        return None
     c2 = 1.0 / (2.0 * o.lip * o.radius_r0 ** 2)
     return q_old - c2 * q_new * q_new - q_new
 
@@ -485,8 +535,6 @@ def _ref_pg_slack(o, old, new, q_old, q_new):
 def _ref_pg_bound(o, g0, a, k, rho, q0):
     if o.mu > 0:
         return q0 * (1.0 + o.mu / o.lip) ** (-k)
-    if o.radius_r0 is None:
-        return math.nan
     c2 = 1.0 / (2.0 * o.lip * o.radius_r0 ** 2)
     delta = c2 * q0 / (1.0 + c2 * q0)
     return (1.0 + delta) * q0 / (1.0 + c2 * q0 * k)
@@ -539,6 +587,10 @@ REFERENCE_FORMS = {
     "apg": ("gamma", "v"), "apg_fast_grad": ("gamma", "v"), "new_apg": ("gamma", "v"),
 }
 
+# kind -> whether (oracle, alpha, x0) is inside the premises of its slack and
+# bound; a run outside them records neither and is uncertified
+REFERENCE_IN_RANGE = {"gd": _ref_gd_in_range, "pg": _ref_pg_in_range}
+
 # kind -> (slack, bound, rho, residual_sq, bounded)
 REFERENCE_CERTIFICATES = {
     "ppa": (lambda o, old, new, q_old, q_new: q_old / (1.0 + o.mu * new.alpha) - q_new,
@@ -571,7 +623,7 @@ REFERENCE_CERTIFICATES = {
 
 
 def reference_run(oracle, kind, x0, v0=None, gamma0=None, iters=100, alpha=None,
-                  variant="sqrt", stop_grad_tol=None):
+                  stop_grad_tol=None):
     """The per-step run loop: (records, certified, violations, nonfinite_at_k)."""
     method = solvers.METHODS[kind]
     slack_fn, bound_fn, rho_fn, residual_fn, bounded_fn = REFERENCE_CERTIFICATES[kind]
@@ -590,7 +642,12 @@ def reference_run(oracle, kind, x0, v0=None, gamma0=None, iters=100, alpha=None,
 
     state = init_state(oracle, kind, x0, v0, gamma0)
     if alpha is None:
-        alpha = method.default_alpha(oracle, variant)
+        alpha = method.default_alpha(oracle)
+    elif not alpha > 0:
+        raise UnsupportedSolverError(alpha)
+    in_range = REFERENCE_IN_RANGE.get(kind, lambda o, a, x0: True)(oracle, alpha, state.x)
+    if not in_range:
+        bound_fn = _ref_none
     gamma0 = state.gamma
     gap = oracle.eval_f(state.x) - oracle.f_star
     l_cur = lyapunov(state, gap)
@@ -608,13 +665,14 @@ def reference_run(oracle, kind, x0, v0=None, gamma0=None, iters=100, alpha=None,
         r_sq = residual_fn(oracle, new)
         q_new = bounded_fn(oracle, l_new, r_sq)
         rho = rho_fn(rho, new)
-        slack = slack_fn(oracle, state, new, q_cur, q_new)
-        if slack is None:
+        if not in_range:
             certified, slack = False, math.nan
-        elif not method.certificate:
-            certified = False
-        elif not slack >= -solvers.CERT_TOL * (1.0 + abs(l_cur)):
-            violations += 1
+        else:
+            slack = slack_fn(oracle, state, new, q_cur, q_new)
+            if not method.certificate:
+                certified = False
+            elif not slack >= -solvers.CERT_TOL * (1.0 + abs(l_cur)):
+                violations += 1
         gnorm = math.sqrt(r_sq)
         records.append((new.k, gap, l_new, bound_fn(oracle, gamma0, alpha, new.k, rho, q0),
                         slack, gnorm, new.alpha,
@@ -774,7 +832,7 @@ class TestRunMatchesEvaluate:
         with np.errstate(all="ignore"):
             column = run(oracle, kind, x0, iters=300).trace.lyapunov
             states = [init_state(oracle, kind, x0)]
-            alpha = method.default_alpha(oracle, "sqrt")
+            alpha = method.default_alpha(oracle)
             while len(states) < column.size:
                 states.append(method.step(oracle, states[-1], alpha))
             spec = lyapunov.LyapunovSpec(method.form)
