@@ -95,10 +95,10 @@ def _load_config(path) -> list:
                 raise ConfigError(f"config missing required key {key!r}")
         if not isinstance(cfg["solver"], str):
             raise ConfigError(f"solver must be a string, got {cfg['solver']!r}")
-        # open() would take an int (or a bool) as a file descriptor
-        out = cfg.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError(f"out must be a file name, got {out!r}")
+        # open() would take an int (or a bool) as a file descriptor, and a
+        # null or empty out would drop the trace that --out asks for
+        if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
+            raise ConfigError(f"out must be a file name, got {cfg['out']!r}")
         iters = cfg.get("iters", 100)
         if type(iters) is not int or iters < 1:
             raise ConfigError(f"iters must be an integer >= 1, got {iters!r}")

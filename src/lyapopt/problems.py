@@ -367,7 +367,6 @@ _JSON_KEYS = {
     "lasso": {"kind", "a_matrix", "b", "rho"},
     "logcosh": {"kind", "scale", "dim"},
 }
-_JSON_OPTIONAL = {"dim"}
 
 
 def problem_from_json(doc: dict) -> ProblemOracle:
@@ -380,7 +379,7 @@ def problem_from_json(doc: dict) -> ProblemOracle:
     extra = set(doc) - _JSON_KEYS[kind]
     if extra:
         raise InvalidProblemError(f"unknown keys for {kind}: {sorted(extra)}")
-    missing = _JSON_KEYS[kind] - _JSON_OPTIONAL - set(doc)
+    missing = _JSON_KEYS[kind] - set(doc) - {"dim"}  # logcosh dim defaults to 1
     if missing:
         raise InvalidProblemError(f"{kind} must have the keys {sorted(missing)}")
     if kind == "quadratic":

@@ -416,6 +416,8 @@ MALFORMED_CONFIGS = {
     "out-1": {"out": 1},
     "out-true": {"out": True},
     "out-list": {"out": ["a"]},
+    "out-null": {"out": None},
+    "out-empty": {"out": ""},
     "variant": {"variant": "sqrt"},
     "ppa-alpha-negative": {"solver": "ppa", "alpha": -0.5},
     "gd-alpha-zero": {"alpha": 0},
@@ -424,9 +426,10 @@ MALFORMED_CONFIGS = {
 
 class TestMalformedDocument:
     # each exited 1 with a traceback, but for "out" 1 and true, which wrote
-    # the trace to file descriptor 1 and closed it, and for "variant" and
-    # the alphas, which ran and passed (exit 0; ppa at -0.5 was certified,
-    # with a bound of 2^k)
+    # the trace to file descriptor 1 and closed it, and for "out" null and
+    # "", "variant" and the alphas, which ran and passed (exit 0; ppa at
+    # -0.5 was certified, with a bound of 2^k; a null or empty "out" wrote
+    # no trace, even with --out)
     @pytest.mark.parametrize("command, change", [
         *((command, {"problem": problem}) for command in ("run", "flow")
           for problem in MALFORMED_PROBLEMS.values()),
