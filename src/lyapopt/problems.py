@@ -171,7 +171,7 @@ def _lasso_reference_solution(
 ) -> Vector:
     """The LASSO minimizer by accelerated proximal gradient (gamma0 = lip),
     returned at the first step whose duality gap meets LASSO_GAP_TOL."""
-    x = v = np.zeros(a.shape[1])
+    v = np.zeros(a.shape[1])
     y = (a.T @ b) / lip  # a gradient step from x = 0
     alpha = 1.0  # sqrt(gamma0 / lip)
     for _ in range(LASSO_MAX_STEPS):
