@@ -46,6 +46,7 @@ def main():
         state0 = flows.start_state(model, [4.0, -3.0], v0=np.zeros(2))
         rep = flows.continuous_decay_check(model, lyap, state0, t_end, 1e-3)
         print(f"flow {name:16s} max rel excess {rep['max_rel_excess']: .3e}  "
+              f"max rel error {rep['max_rel_error']: .3e}  "
               f"{'PASS' if rep['pass'] else 'FAIL'}")
         failed |= not rep["pass"]
 

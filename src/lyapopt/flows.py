@@ -5,9 +5,9 @@ plain gradient flow, gradient flow rescaled by a time-scaling factor
 obeying gamma' = mu - gamma, the heavy-ball system, the vanishing-damping
 second-order system in its first-order form, and the gradient-corrected
 accelerated flow with an extra -beta grad f damping term; each kind is one
-entry of FLOWS.  A fixed-step RK4 integrator produces reference
-trajectories from start_state, and a decay checker confirms the Lyapunov
-bounds along them.
+entry of FLOWS.  An RK4 integrator produces reference trajectories from
+start_state on each kind's time grid, and a decay checker confirms the
+Lyapunov bounds along them within a step-doubling error budget.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .problems import ProblemOracle, rowdot, unbox
 FINITE_CHECK_STEPS = 256
 # integrate refuses a trajectory of more float64 values than this (512 MiB)
 MAX_TRAJECTORY_VALUES = 1 << 26
-# continuous_decay_check fails a step whose relative excess over the bound
-# is above this
+# continuous_decay_check fails a step whose relative excess over the bound,
+# its error budget included, is above this
 DECAY_REL_TOL = 1e-3
 
 
@@ -34,31 +34,38 @@ class FlowError(ValueError):
 
 
 class Flow(NamedTuple):
-    """One flow kind: the blocks its state carries beside x, and its start."""
+    """One flow kind: the blocks its state carries beside x, its start, and
+    its time scale."""
     has_v: bool
     has_gamma: bool
     t0: float = 0.0
     gamma0: Optional[Callable] = None  # oracle -> gamma at t0, for a kind with gamma
     needs_mu: bool = False  # True: the flow needs mu > 0
+    # True: the grid is uniform in s = ln t, so the step grows like t and dt
+    # is the step at t0 (which must be > 0); False: uniform in t
+    log_time: bool = False
 
 
 FLOWS = {
     "gradient": Flow(has_v=False, has_gamma=False),
     "scaled_gradient": Flow(has_v=False, has_gamma=True, gamma0=lambda o: o.lip),
     "heavy_ball": Flow(has_v=True, has_gamma=False, needs_mu=True),
-    # gamma = 4/t^2 from t = 1
-    "avd_r3": Flow(has_v=True, has_gamma=True, t0=1.0, gamma0=lambda o: 4.0),
+    # gamma = 4/t^2 from t = 1: the rate sqrt(gamma) = 2/t sets a time scale ~ t
+    "avd_r3": Flow(has_v=True, has_gamma=True, t0=1.0, gamma0=lambda o: 4.0,
+                   log_time=True),
     "hnag": Flow(has_v=True, has_gamma=True, gamma0=lambda o: o.lip),
 }
 FLOW_KINDS = tuple(FLOWS)
 
 
 class DivergenceError(RuntimeError):
-    """Integration produced NaN/Inf; carries the last valid state."""
+    """Integration produced NaN/Inf at time t; carries the finite part of the
+    trajectory (state0 included) and its last state."""
 
-    def __init__(self, message: str, last_state: "FlowState"):
+    def __init__(self, message: str, t: float, trajectory: "FlowState",
+                 last_state: "FlowState"):
         super().__init__(message)
-        self.last_state = last_state
+        self.t, self.trajectory, self.last_state = t, trajectory, last_state
 
 
 @dataclass
@@ -223,11 +230,16 @@ def _unpack(model: FlowModel, t, y: np.ndarray) -> FlowState:
 
 
 def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> FlowState:
-    """Classical RK4 with a fixed step, sampled every step.
+    """Classical RK4 on the kind's time grid, sampled every step.
+
+    The grid is uniform in t, with steps of about dt, or for a log_time
+    kind uniform in s = ln t: t_i = t0 (t_end / t0)^(i / N) with
+    N = round(ln(t_end / t0) / ln(1 + dt)), whose step is about dt at t0 and
+    grows like t.
 
     Returns the trajectory, state0 included, as one batched FlowState with
-    a leading axis of steps + 1.  Raises DivergenceError carrying the last
-    finite state if the trajectory blows up.
+    a leading axis of steps + 1.  Raises DivergenceError carrying the finite
+    part of the trajectory if it blows up.
 
     The stages are written into preallocated rows, and gamma, which no
     other block feeds, is carried as a float.  Finiteness is checked once
@@ -240,19 +252,28 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     if not (0 < dt < math.inf and state0.t < t_end < math.inf):
         raise FlowError("need a finite dt > 0 and a finite t_end > t0")
     _check_blocks(model, state0)
+    log_time = FLOWS[model.kind].log_time
+    t0 = state0.t
+    if log_time and not t0 > 0:
+        raise FlowError(f"{model.kind} flow steps in ln t: need t0 > 0")
     n = model.oracle.dim
     m = 2 * n if model.has_v else n
-    # (t_end - t0) / dt overflows to inf for a t_end near the largest float
-    span = (t_end - state0.t) / dt
+    # the span in steps overflows to inf for a t_end near the largest float
+    span = math.log(t_end / t0) / math.log1p(dt) if log_time else (t_end - t0) / dt
     n_steps = max(1, round(span)) if math.isfinite(span) else math.inf
     if (n_steps + 1) * (m + 1) > MAX_TRAJECTORY_VALUES:
-        raise FlowError(f"(t_end - t0) / dt = {span:.6g} steps: the trajectory would "
+        raise FlowError(f"the grid has {span:.6g} steps: the trajectory would "
                         f"hold more than {MAX_TRAJECTORY_VALUES} values")
-    h = (t_end - state0.t) / n_steps
-    half, sixth = 0.5 * h, h / 6.0
-    # 0-d arrays for the array products: numpy converts a float operand on
-    # every call
-    h_, half_, sixth_ = np.array(h), np.array(half), np.array(sixth)
+    if log_time:
+        times = t0 * (t_end / t0) ** (np.arange(n_steps + 1) / n_steps)
+        steps = np.diff(times)
+    else:
+        steps = np.full(n_steps, (t_end - t0) / n_steps)
+        # np.cumsum adds in sequence: t_i = t_(i-1) + h, as a running sum
+        times = np.cumsum(np.concatenate([[t0], steps]))
+    # 0-d arrays for the array products, set at each step: numpy converts a
+    # float operand on every call
+    h_, half_, sixth_ = np.empty(()), np.empty(()), np.empty(())
     rhs = model.rhs
     gamma = float(state0.gamma) if model.has_gamma else 0.0
     # y is the current row [x | v | gamma], stage a stage's [x | v], and
@@ -260,8 +281,6 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     y = np.concatenate([state0.x] + ([state0.v] if model.has_v else []) + [[gamma]])
     traj = np.empty((n_steps + 1, m + 1))
     traj[0] = y
-    times = np.empty(n_steps + 1)
-    t = times[0] = state0.t
     stage = np.empty(m)
     k = np.empty((4, m))
     k_sum = np.empty(m)
@@ -275,7 +294,10 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
         [(row, *blocks(row)) for row in k]
     for start in range(0, n_steps, FINITE_CHECK_STEPS):
         stop = min(start + FINITE_CHECK_STEPS, n_steps)
-        for i in range(start + 1, stop + 1):
+        for i, t, h in zip(range(start + 1, stop + 1), times[start:stop].tolist(),
+                           steps[start:stop].tolist()):
+            half, sixth = 0.5 * h, h / 6.0
+            h_[()], half_[()], sixth_[()] = h, half, sixth
             g1 = rhs(t, yx, yv, gamma, k1x, k1v)
             np.multiply(k1, half_, out=stage)
             stage += y_xv
@@ -293,55 +315,86 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
             y_xv += k_sum
             gamma += sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
             y[m] = gamma
-            t += h
-            times[i] = t
             traj[i] = y
         block = traj[start + 1:stop + 1]
         if not np.isfinite(block).all():
             row = start + 1 + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
             raise DivergenceError(f"integration diverged at t={times[row]:.6g}",
+                                  float(times[row]), _unpack(model, times[:row], traj[:row]),
                                   _unpack(model, float(times[row - 1]), traj[row - 1].copy()))
     return _unpack(model, times, traj)
 
 
 def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
                            t_end: float, dt: float) -> dict:
-    """Integrate and compare the Lyapunov value against its decay bound.
+    """Integrate and compare the Lyapunov value against its decay bound,
+    within an error budget for the integration.
 
     The bound accumulates the decay-rate integral along the trajectory by
-    the trapezoid rule: exponential decay exp(-int c) for exponent q = 1,
-    the algebraic closure ((q-1) int c + L0^(1-q))^(1/(1-q)) for q > 1.
-    A step whose relative excess is not <= DECAY_REL_TOL (NaN included)
-    fails.
+    the trapezoid rule in the grid's variable s (the integrand c dt/ds: c
+    itself on a uniform grid, c t in s = ln t on a log_time one): exponential
+    decay exp(-int c) for exponent q = 1, the algebraic closure
+    ((q-1) int c + L0^(1-q))^(1/(1-q)) for q > 1.
+
+    The budget is step doubling: a second run on every other point of the
+    grid (step 2 dt, or (1 + dt)^2 - 1 in ln t) estimates the error of L at
+    each shared point as |L_h - L_2h| / 15; a row between shared points
+    takes the larger estimate of its two neighbours, and a final row past
+    the last shared point takes that point's.  Where the coarse run
+    diverged, or there is no coarse run (a grid of one step), the estimate
+    is infinite.  A step fails unless
+    (L + err - bound) <= DECAY_REL_TOL |bound|, so a NaN anywhere fails.
     """
     from . import lyapunov as lyap_mod
 
     params = lyapunov.strong_params
     if params is None:
         raise FlowError("Lyapunov spec has no decay parameters attached")
+    log_time = FLOWS[model.kind].log_time
     traj = integrate(model, state0, t_end, dt)
     oracle = model.oracle
     t = traj.t
     values = lyap_mod.evaluate(lyapunov, oracle, traj)
     rate = np.broadcast_to(params.c(traj), t.shape)
+    s, w = (np.log(t), rate * t) if log_time else (t, rate)
     # np.cumsum adds in sequence, as a running sum over the steps would
-    integral = np.cumsum(0.5 * (rate[:-1] + rate[1:]) * np.diff(t))
+    integral = np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))
     l0, q = float(values[0]), params.q
     if q == 1.0:
         bound = l0 * np.exp(-integral)
     else:
         bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
-    val = values[1:]
-    excess = (val - bound) / (np.abs(bound) + 1e-300)
-    bad = np.flatnonzero(~(excess <= DECAY_REL_TOL))
+
+    n_steps = t.size - 1
+    # the coarse run takes one step per pair of fine steps, to t[2 * pairs]
+    pairs = n_steps // 2
+    shared = np.full(pairs + 1, math.inf)
+    if pairs:
+        try:
+            coarse = integrate(model, state0, float(t[2 * pairs]),
+                               dt * (2.0 + dt) if log_time else 2.0 * dt)
+        except DivergenceError as exc:
+            coarse = exc.trajectory
+        coarse_values = lyap_mod.evaluate(lyapunov, oracle, coarse)
+        reached = coarse_values.size
+        shared[:reached] = np.abs(values[:2 * reached:2] - coarse_values) / 15.0
+    est = np.full(n_steps + 1, shared[-1])
+    est[::2] = shared
+    est[1:2 * pairs:2] = np.maximum(shared[:-1], shared[1:])
+
+    val, err = values[1:], est[1:]
+    scale = np.abs(bound) + 1e-300
+    excess = (val - bound) / scale
+    bad = np.flatnonzero(~((val + err - bound) / scale <= DECAY_REL_TOL))
     d = traj.x[1:] - oracle.x_star
-    err = np.sqrt(rowdot(d, d))
+    x_err = np.sqrt(rowdot(d, d))
     gamma = [""] * bound.size if traj.gamma is None else traj.gamma[1:].tolist()
-    rows = list(zip(t[1:].tolist(), val.tolist(), bound.tolist(), err.tolist(), gamma))
+    rows = list(zip(t[1:].tolist(), val.tolist(), bound.tolist(), x_err.tolist(), gamma))
     return {
         "pass": bad.size == 0,
         "rel_tol": DECAY_REL_TOL,
         "first_violation_t": float(t[1 + bad[0]]) if bad.size else None,
         "max_rel_excess": float(np.max(excess, initial=0.0, where=~np.isnan(excess))),
+        "max_rel_error": float(np.max(err / scale)),
         "rows": rows,
     }

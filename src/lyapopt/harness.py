@@ -241,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--model", required=True)
     p_flow.add_argument("--problem", required=True, help="problem JSON file")
     p_flow.add_argument("--t-end", type=float, required=True)
-    p_flow.add_argument("--dt", type=float, required=True)
+    p_flow.add_argument("--dt", type=float, required=True,
+                        help="step at t0; avd_r3's step grows like t")
     p_flow.add_argument("--out")
 
     p_ver = sub.add_parser("verify-lyapunov", help="sampled strong-condition check")
@@ -282,7 +283,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "run":
             configs = _load_config(args.config)
-            if args.out and len(configs) == 1 and "out" not in configs[0]:
+            if args.out:
+                # --out names one trace: it would be dropped on a list of
+                # configs, or on a config that names its own
+                if len(configs) != 1 or "out" in configs[0]:
+                    raise ConfigError("--out needs a config file of one config "
+                                      "without its own \"out\"")
                 configs[0]["out"] = args.out
             reports = [cmd_run(cfg) for cfg in configs]
             _print_json(reports if len(reports) > 1 else reports[0])

@@ -13,7 +13,7 @@ from lyapopt.flows import (
     continuous_decay_check,
     integrate,
 )
-from lyapopt.problems import make_lasso, make_logcosh, make_quadratic
+from lyapopt.problems import make_lasso, make_logcosh, make_quadratic, rowdot
 
 QUAD = make_quadratic([1.0, 4.0], [1.0, -2.0])
 
@@ -48,6 +48,13 @@ class TestConstruction:
             integrate(model, st, t_end=1.0, dt=-0.1)
 
 
+    def test_log_time_grid_needs_positive_t0(self):
+        model = FlowModel("avd_r3", QUAD)
+        st = FlowState(0.0, np.ones(2), v=np.zeros(2), gamma=4.0)
+        with pytest.raises(FlowError, match="t0 > 0"):
+            integrate(model, st, t_end=1.0, dt=0.1)
+
+
 class TestEquilibria:
     def cases(self):
         mu = QUAD.mu
@@ -70,7 +77,9 @@ class TestEquilibria:
 
 
 def reference_rk4(model, state0, t_end, dt):
-    """A plain per-step RK4 on packed vectors through flows.field."""
+    """A plain per-step RK4 on packed vectors through flows.field, on the
+    kind's grid: steps of h = (t_end - t0) / N summed as a running t, or the
+    log-time grid's points."""
     n = model.oracle.dim
 
     def pack(st):
@@ -82,17 +91,24 @@ def reference_rk4(model, state0, t_end, dt):
                        gamma=float(y[-1]) if model.has_gamma else None)
         return pack(flows.field(model, st))
 
-    n_steps = max(1, int(round((t_end - state0.t) / dt)))
-    h = (t_end - state0.t) / n_steps
-    t, y = state0.t, pack(state0)
+    t0 = state0.t
+    if flows.FLOWS[model.kind].log_time:
+        # uniform in ln t: t_i = t0 (t_end / t0)^(i / N), N steps of ln(1 + dt)
+        n_steps = max(1, round(math.log(t_end / t0) / math.log1p(dt)))
+        grid = (t0 * (t_end / t0) ** (np.arange(n_steps + 1) / n_steps)).tolist()
+        steps = [b - a for a, b in zip(grid, grid[1:])]
+    else:
+        n_steps = max(1, int(round((t_end - t0) / dt)))
+        steps = [(t_end - t0) / n_steps] * n_steps
+    t, y = t0, pack(state0)
     times, ys = [t], [y]
-    for _ in range(n_steps):
+    for i, h in enumerate(steps):
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+        t = grid[i + 1] if flows.FLOWS[model.kind].log_time else t + h
         times.append(t)
         ys.append(y)
     return np.array(times), np.array(ys)
@@ -122,7 +138,8 @@ class TestBatchedStates:
         model = FlowModel(kind, oracle, beta_fn=lambda t: 0.25 + 0.5 * t)
         st = FlowState(1.0, np.array([4.0, -3.0, 0.5]), v=np.array([0.5, 0.0, -1.0]),
                        gamma=3.0)
-        t_end = 1.0 + (3 * flows.FINITE_CHECK_STEPS + 5) * 1e-3
+        n_steps = 3 * flows.FINITE_CHECK_STEPS + 5
+        t_end = 1.001 ** n_steps if flows.FLOWS[kind].log_time else 1.0 + n_steps * 1e-3
         traj = integrate(model, st, t_end, 1e-3)
         times, ys = reference_rk4(model, st, t_end, 1e-3)
         assert traj.t.size == 3 * flows.FINITE_CHECK_STEPS + 6
@@ -209,16 +226,19 @@ class TestExactSolutions:
             assert last.gamma == ys[row - 1, -1]
 
     def test_avd_negative_stage_gamma_diverges(self):
-        # h = 2 from t = 1, gamma = 4: the second stage's gamma is
-        # 4 - 1 * 4^1.5 < 0, whose square root is NaN
+        # the log-time grid 1, 3, 9 (dt = 2 at t0 = 1): h = 2 from t = 1,
+        # gamma = 4, so the second stage's gamma is 4 - 1 * 4^1.5 < 0, whose
+        # square root is NaN
         model = FlowModel("avd_r3", QUAD)
         st = FlowState(1.0, np.ones(2), v=np.zeros(2), gamma=4.0)
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError) as info:
-                integrate(model, st, 5.0, 2.0)
+                integrate(model, st, 9.0, 2.0)
         assert str(info.value) == "integration diverged at t=3"
+        assert info.value.t == 3.0
         assert info.value.last_state.t == 1.0
         assert info.value.last_state.gamma == 4.0
+        assert np.array_equal(info.value.trajectory.t, [1.0])
 
 
 class TestStartState:
@@ -330,3 +350,116 @@ class TestDecayChecks:
         bare = lyapunov.LyapunovSpec("opt_gap")
         with pytest.raises(FlowError):
             continuous_decay_check(model, bare, FlowState(0.0, np.ones(2)), 1.0, 0.1)
+
+
+def uniform_rows(model, lyap, state0, t_end, dt):
+    """The decay check's rows computed directly: the Lyapunov values on the
+    uniform RK4 trajectory and the bound from the trapezoid of c in t."""
+    traj = integrate(model, state0, t_end, dt)
+    values = lyapunov.evaluate(lyap, model.oracle, traj)
+    rate = np.broadcast_to(lyap.strong_params.c(traj), traj.t.shape)
+    integral = np.cumsum(0.5 * (rate[:-1] + rate[1:]) * np.diff(traj.t))
+    l0, q = float(values[0]), lyap.strong_params.q
+    if q == 1.0:
+        bound = l0 * np.exp(-integral)
+    else:
+        bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
+    d = traj.x[1:] - model.oracle.x_star
+    x_err = np.sqrt(rowdot(d, d))
+    gamma = [""] * bound.size if traj.gamma is None else traj.gamma[1:].tolist()
+    return list(zip(traj.t[1:].tolist(), values[1:].tolist(), bound.tolist(),
+                    x_err.tolist(), gamma))
+
+
+def finer_values(model, lyap, state0, t_end, n_steps, factor):
+    """L on the kind's grid refined factor times (n_steps * factor steps),
+    at the points the n_steps grid shares with it, state0 excluded."""
+    t0 = state0.t
+    if flows.FLOWS[model.kind].log_time:
+        dt = (t_end / t0) ** (1.0 / (factor * n_steps)) - 1.0
+    else:
+        dt = (t_end - t0) / (factor * n_steps)
+    fine = integrate(model, state0, t_end, dt)
+    assert fine.t.size == factor * n_steps + 1
+    return lyapunov.evaluate(lyap, model.oracle, fine)[factor::factor]
+
+
+# scripts/verify_certificates.py's decay checks, run with dt = 1e-3
+CERTIFY_DECAYS = [("scaled_gradient", 10.0), ("heavy_ball", 10.0), ("avd_r3", 50.0),
+                  ("hnag", 10.0)]
+
+
+class TestErrorBudget:
+    X0 = [4.0, -3.0]
+
+    def check(self, kind, t_end, dt):
+        model, lyap = lyapunov.flow_pairing(kind, QUAD)
+        state0 = flows.start_state(model, self.X0, v0=np.zeros(2))
+        return model, lyap, state0, continuous_decay_check(model, lyap, state0, t_end, dt)
+
+    def test_avd_log_grid_steps(self):
+        # dt is the step at t0 = 1 and grows like t: 3,914 steps to t = 50,
+        # where a uniform grid takes 49,000
+        model, _, _, report = self.check("avd_r3", 50.0, 1e-3)
+        t = np.array([1.0] + [row[0] for row in report["rows"]])
+        assert t.size == 3915
+        assert np.diff(t)[0] == pytest.approx(1e-3, rel=1e-3)
+        assert np.allclose(np.diff(np.log(t)), math.log(50.0) / 3914, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("kind, t_end", [(k, t) for k, t in CERTIFY_DECAYS
+                                             if not flows.FLOWS[k].log_time])
+    def test_uniform_rows_unchanged(self, kind, t_end):
+        model, lyap, state0, report = self.check(kind, t_end, 1e-3)
+        assert report["rows"] == uniform_rows(model, lyap, state0, t_end, 1e-3)
+
+    def test_unstable_coarse_run_fails_closed(self):
+        # the fine run's L stays under its bound, but on 66 steps of about
+        # 6% of t the coarse run is unstable: the budget alone fails it
+        _, _, _, report = self.check("avd_r3", 50.0, 0.03)
+        rows = report["rows"]
+        assert len(rows) == 132
+        assert all(val - bound <= flows.DECAY_REL_TOL * abs(bound)
+                   for _, val, bound, *_ in rows)
+        assert report["max_rel_excess"] <= flows.DECAY_REL_TOL
+        assert not report["pass"]
+        assert report["max_rel_error"] > 1.0
+        assert 1.0 < report["first_violation_t"] < 50.0
+
+    def test_diverging_coarse_run_fails_without_raising(self):
+        # on the log grid 1, 1.5, 2.25, ... (dt = 0.5) a stage gamma stays
+        # positive, but the coarse run's step of 1.25 t makes it negative
+        model, lyap, state0, report = self.check("avd_r3", 1.5 ** 4, 0.5)
+        assert [row[0] for row in report["rows"]] == pytest.approx([1.5, 2.25, 3.375, 5.0625])
+        assert report["max_rel_excess"] <= flows.DECAY_REL_TOL
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                integrate(model, state0, 1.5 ** 4, 1.25)
+        assert info.value.t == pytest.approx(2.25)
+        assert not report["pass"]
+        assert report["first_violation_t"] <= info.value.t
+        assert report["max_rel_error"] == math.inf
+
+    def test_one_step_has_no_estimate(self):
+        _, _, _, report = self.check("scaled_gradient", 1.0, 5.0)
+        assert len(report["rows"]) == 1
+        assert not report["pass"] and report["max_rel_error"] == math.inf
+
+    @pytest.mark.parametrize("kind, t_end, dt", [
+        *((kind, t_end, 1e-3) for kind, t_end in CERTIFY_DECAYS),
+        *((kind, 10.0, 0.05) for kind in ("scaled_gradient", "heavy_ball", "hnag")),
+        ("avd_r3", 50.0, 0.02),
+    ])
+    def test_budget_bounds_error_against_finer_run(self, kind, t_end, dt):
+        model, lyap, state0, report = self.check(kind, t_end, dt)
+        rows = report["rows"]
+        fine = finer_values(model, lyap, state0, t_end, len(rows), 16)
+        val, bound = np.array([row[1:3] for row in rows]).T
+        error = np.max(np.abs(val - fine) / np.abs(bound))
+        # step doubling estimates the truncation error; the uniform kinds at
+        # dt = 1e-3 have none to speak of, and their difference from the
+        # finer run (2-3e-13 of the bound) is float rounding, mostly
+        # f(x) - f* cancelling near x*, which no budget from L_h - L_2h sees
+        rounding = 1e-12
+        assert max(report["max_rel_error"], rounding) >= error
+        if dt > 1e-3 or flows.FLOWS[kind].log_time:
+            assert error > rounding

@@ -90,6 +90,26 @@ class TestRunCommand:
         assert len(reports) == 2
         assert all(r["pass"] for r in reports)
 
+    def test_out_flag_writes_the_trace(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        path = write_json(tmp_path / "cfg.json", gd_config())
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 52
+
+    @pytest.mark.parametrize("doc", [
+        [gd_config(), gd_config()],
+        gd_config("own.csv"),
+    ], ids=["two-configs", "own-out"])
+    def test_out_flag_that_would_be_dropped_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                   doc):
+        # each exited 0 and wrote no file: --out was dropped
+        monkeypatch.chdir(tmp_path)
+        path = write_json(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", path, "--out", "t.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--out" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestFlowCommand:
     def test_scaled_flow_passes(self, tmp_path, capsys):
@@ -126,6 +146,18 @@ class TestFlowCommand:
                      "--t-end", args["--t-end"], "--dt", args["--dt"]]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("dt, code", [("1e-3", 0), ("0.03", 1)])
+    def test_avd_error_budget(self, tmp_path, capsys, dt, code):
+        # at dt = 0.03 L stays under its bound, but the coarse run of the
+        # step-doubling budget is unstable
+        problem = write_json(tmp_path / "p.json",
+                             {"kind": "quadratic", "eigs": [1.0, 4.0], "b": [1.0, -2.0]})
+        assert main(["flow", "--model", "avd_r3", "--problem", problem,
+                     "--t-end", "50", "--dt", dt]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_rel_excess"] <= flows.DECAY_REL_TOL
+        assert report["max_rel_error"] <= 1e-6 if code == 0 else report["max_rel_error"] > 1.0
 
     def test_unknown_model_exit_2(self, tmp_path):
         problem = write_json(tmp_path / "p.json", QUAD_PROBLEM)
