@@ -59,13 +59,12 @@ FLOW_KINDS = tuple(FLOWS)
 
 
 class DivergenceError(RuntimeError):
-    """Integration produced NaN/Inf at time t; carries the finite part of the
+    """Integration produced NaN/Inf; carries the finite part of the
     trajectory (state0 included) and its last state."""
 
-    def __init__(self, message: str, t: float, trajectory: "FlowState",
-                 last_state: "FlowState"):
+    def __init__(self, message: str, trajectory: "FlowState", last_state: "FlowState"):
         super().__init__(message)
-        self.t, self.trajectory, self.last_state = t, trajectory, last_state
+        self.trajectory, self.last_state = trajectory, last_state
 
 
 @dataclass
@@ -320,7 +319,7 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
         if not np.isfinite(block).all():
             row = start + 1 + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
             raise DivergenceError(f"integration diverged at t={times[row]:.6g}",
-                                  float(times[row]), _unpack(model, times[:row], traj[:row]),
+                                  _unpack(model, times[:row], traj[:row]),
                                   _unpack(model, float(times[row - 1]), traj[row - 1].copy()))
     return _unpack(model, times, traj)
 
