@@ -14,6 +14,7 @@ import numpy as np
 
 from .problems import ProblemOracle, box_rng, rowdot, sample_box, unbox
 
+# every verifier's slack tolerance and sampling-box radius
 SLACK_TOL = 1e-9
 SAMPLING_RADIUS = 10.0
 

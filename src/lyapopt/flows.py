@@ -81,6 +81,8 @@ class FlowState:
     x: np.ndarray
     v: Optional[np.ndarray] = None
     gamma: Optional[float] = None
+    # a (sub)gradient of f at x, where the state carries one (see state_grad)
+    grad: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -103,8 +105,6 @@ class FlowModel:
             raise FlowError(f"unknown flow kind: {self.kind!r}")
         if FLOWS[self.kind].needs_mu and self.oracle.mu <= 0:
             raise FlowError(f"{self.kind} flow requires mu > 0")
-        if self.oracle.is_composite:
-            raise FlowError(f"{self.kind} flow moves on grad h alone: smooth objectives only")
         if self.beta_fn is None:
             lip = self.oracle.lip
             object.__setattr__(self, "beta_fn", lambda t: 1.0 / lip)
@@ -137,46 +137,42 @@ def _sqrt(a):
 
 
 def _field_fn(model: FlowModel):
-    """The field of model's kind as rhs(t, x, v, gamma, dx, dv) -> gamma'.
+    """The field of model's kind as rhs(t, x, v, gamma, g, dx, dv) -> gamma'.
 
-    rhs writes x' into dx and v' into dv (None for a kind without v) and
-    returns gamma', 0.0 for a kind without gamma.  t and gamma are floats,
-    or columns of shape (..., 1) that scale the rows of x.
+    rhs moves on g, the (sub)gradient of f at x, writes x' into dx and v'
+    into dv (None for a kind without v) and returns gamma', 0.0 for a kind
+    without gamma.  t and gamma are floats, or columns of shape (..., 1).
 
     A quotient -g / s is taken as g / -s, which saves negating the array:
     IEEE division is symmetric in sign, so the two agree bit for bit on
     every value but the sign of a NaN.
     """
-    oracle = model.oracle
-    grad, mu, beta_fn = oracle.grad_h, oracle.mu, model.beta_fn
+    mu, beta_fn = model.oracle.mu, model.beta_fn
     kind = model.kind
 
     if kind == "gradient":
-        def rhs(t, x, v, gamma, dx, dv):
-            np.negative(grad(x), out=dx)
+        def rhs(t, x, v, gamma, g, dx, dv):
+            np.negative(g, out=dx)
             return 0.0
     elif kind == "scaled_gradient":
-        def rhs(t, x, v, gamma, dx, dv):
-            np.divide(grad(x), -gamma, out=dx)
+        def rhs(t, x, v, gamma, g, dx, dv):
+            np.divide(g, -gamma, out=dx)
             return mu - gamma
     elif kind == "heavy_ball":
-        def rhs(t, x, v, gamma, dx, dv):
-            g = grad(x)
+        def rhs(t, x, v, gamma, g, dx, dv):
             np.subtract(v, x, out=dx)
             np.subtract(x, v, out=dv)
             dv -= g / mu
             return 0.0
     elif kind == "avd_r3":
-        def rhs(t, x, v, gamma, dx, dv):
-            g = grad(x)
+        def rhs(t, x, v, gamma, g, dx, dv):
             sg = _sqrt(gamma)
             np.subtract(v, x, out=dx)
             dx *= sg
             np.divide(g, -sg, out=dv)
             return -gamma * sg
     else:
-        def rhs(t, x, v, gamma, dx, dv):
-            g = grad(x)
+        def rhs(t, x, v, gamma, g, dx, dv):
             np.subtract(v, x, out=dx)
             dx -= beta_fn(t) * g
             np.subtract(x, v, out=dv)
@@ -190,7 +186,7 @@ def _raw_state(t, x, v=None, gamma=None) -> FlowState:
     # Skips __post_init__: a derivative's gamma slot may be negative, and a
     # trajectory is stored as it was integrated.
     st = FlowState.__new__(FlowState)
-    st.t, st.x, st.v, st.gamma = t, x, v, gamma
+    st.t, st.x, st.v, st.gamma, st.grad = t, x, v, gamma, None
     return st
 
 
@@ -201,6 +197,16 @@ def _check_blocks(model: FlowModel, state: FlowState):
         raise FlowError(f"{model.kind} flow needs a gamma block")
 
 
+def state_grad(oracle: ProblemOracle, state: FlowState):
+    """The (sub)gradient the state carries, else grad h(x).  A composite f
+    refuses a state without one: grad h would drop g's subgradient."""
+    if state.grad is not None:
+        return state.grad
+    if oracle.is_composite:
+        raise FlowError("a composite objective needs a state that carries its subgradient")
+    return oracle.grad_h(np.asarray(state.x, dtype=float))
+
+
 def field(model: FlowModel, state: FlowState) -> FlowState:
     """Time derivative of the state (or of each state of a batch); the t
     slot of the result is dt/dt = 1."""
@@ -208,7 +214,8 @@ def field(model: FlowModel, state: FlowState) -> FlowState:
     x = np.asarray(state.x, dtype=float)
     dx = np.empty_like(x)
     dv = np.empty_like(x) if model.has_v else None
-    dgamma = model.rhs(_column(state.t), x, state.v, _column(state.gamma), dx, dv)
+    dgamma = model.rhs(_column(state.t), x, state.v, _column(state.gamma),
+                       state_grad(model.oracle, state), dx, dv)
     return _raw_state(1.0, dx, dv, unbox(dgamma[..., 0]) if model.has_gamma else None)
 
 
@@ -247,6 +254,8 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     rest of its block is computed and dropped.  A trajectory of more than
     MAX_TRAJECTORY_VALUES values is refused before anything is allocated.
     """
+    if model.oracle.is_composite:
+        raise FlowError(f"{model.kind} flow moves on grad h alone: smooth objectives only")
     # written so that a NaN fails it: every comparison with NaN is False
     if not (0 < dt < math.inf and state0.t < t_end < math.inf):
         raise FlowError("need a finite dt > 0 and a finite t_end > t0")
@@ -273,7 +282,7 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     # 0-d arrays for the array products, set at each step: numpy converts a
     # float operand on every call
     h_, half_, sixth_ = np.empty(()), np.empty(()), np.empty(())
-    rhs = model.rhs
+    rhs, grad_h = model.rhs, model.oracle.grad_h
     gamma = float(state0.gamma) if model.has_gamma else 0.0
     # y is the current row [x | v | gamma], stage a stage's [x | v], and
     # k the four stage derivatives of [x | v]
@@ -297,16 +306,16 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
                            steps[start:stop].tolist()):
             half, sixth = 0.5 * h, h / 6.0
             h_[()], half_[()], sixth_[()] = h, half, sixth
-            g1 = rhs(t, yx, yv, gamma, k1x, k1v)
+            g1 = rhs(t, yx, yv, gamma, grad_h(yx), k1x, k1v)
             np.multiply(k1, half_, out=stage)
             stage += y_xv
-            g2 = rhs(t + half, sx, sv, gamma + half * g1, k2x, k2v)
+            g2 = rhs(t + half, sx, sv, gamma + half * g1, grad_h(sx), k2x, k2v)
             np.multiply(k2, half_, out=stage)
             stage += y_xv
-            g3 = rhs(t + half, sx, sv, gamma + half * g2, k3x, k3v)
+            g3 = rhs(t + half, sx, sv, gamma + half * g2, grad_h(sx), k3x, k3v)
             np.multiply(k3, h_, out=stage)
             stage += y_xv
-            g4 = rhs(t + h, sx, sv, gamma + h * g3, k4x, k4v)
+            g4 = rhs(t + h, sx, sv, gamma + h * g3, grad_h(sx), k4x, k4v)
             # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right as written
             k_mid *= 2.0
             np.add.reduce(k, axis=0, out=k_sum)

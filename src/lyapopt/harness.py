@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import flows, lyapunov, schedules, solvers
+from . import calculus, flows, lyapunov, schedules, solvers
 from .problems import InvalidProblemError, float_array, problem_from_json
 
 log = logging.getLogger("lyapopt")
@@ -155,7 +155,7 @@ def _run_report(result: solvers.RunResult) -> dict:
     # a NaN bound is no bound; np.max keeps a NaN gap, which fails the run
     has_bound = ~np.isnan(t.bound)
     bound = t.bound[has_bound]
-    gaps = t.bounded[has_bound] - bound - 1e-9 * (1.0 + np.abs(bound))
+    gaps = t.bounded[has_bound] - bound - calculus.SLACK_TOL * (1.0 + np.abs(bound))
     max_violation = float(np.max(gaps, initial=0.0))
     finite = math.isfinite(max_violation)
     return {

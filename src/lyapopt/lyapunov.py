@@ -10,6 +10,7 @@ theorems convert per-step contraction inequalities into rate bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -17,12 +18,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import flows
-from .calculus import sampled_verdict
+from .calculus import SAMPLING_RADIUS, SLACK_TOL, sampled_verdict
 from .problems import (ProblemOracle, box_rng, make_lasso, make_logcosh, make_quadratic,
                        rowdot, unbox)
 
-SLACK_TOL = 1e-9
-SAMPLING_RADIUS = 10.0
 GAMMA_RANGE = (0.05, 10.0)
 
 # The Lyapunov family L = f - f* + w/2 |c - x*|^2, one (w, c) per kind: the
@@ -59,7 +58,7 @@ class StrongParams:
 class LyapunovSpec:
     kind: str
     strong_params: Optional[StrongParams] = None
-    domain: str = "box"  # "box" or "sublevel"
+    domain: str = "box"  # "box", "sublevel" or "prox": see strong_condition_check
 
     def __post_init__(self):
         if self.kind not in LYAPUNOV_KINDS:
@@ -95,7 +94,7 @@ def evaluate(lyap: LyapunovSpec, oracle: ProblemOracle, state: flows.FlowState):
 
 def grad_blocks(lyap: LyapunovSpec, oracle: ProblemOracle, state: flows.FlowState) -> dict:
     """Partial gradients with respect to the x, v and gamma blocks."""
-    g = oracle.grad_h(np.asarray(state.x, dtype=float))
+    g = flows.state_grad(oracle, state)
     w, d = _form(lyap.kind, oracle, state)
     if w is None:
         return {"x": g}
@@ -175,7 +174,7 @@ def _report(blocks, samples: int) -> dict:
 def _sample_states(flow: flows.FlowModel, samples: int, seed: int,
                    f0_level: Optional[float] = None):
     """The states the strong check runs on: yields (states, draws) per
-    block, the states as one batched FlowState.
+    block, the states as one batched FlowState carrying grad h.
 
     Each draw is a state with x (and v) uniform on the box of radius
     SAMPLING_RADIUS around x* and gamma uniform on GAMMA_RANGE.  With an
@@ -188,17 +187,18 @@ def _sample_states(flow: flows.FlowModel, samples: int, seed: int,
     def box(u):
         return oracle.x_star + (-SAMPLING_RADIUS + 2.0 * SAMPLING_RADIUS * u)
 
-    rejects = None
-    if f0_level is not None:
-        def rejects(rows):
-            return oracle.eval_f(box(rows[:, :n])) > f0_level
+    def above_level(rows):
+        return oracle.eval_f(box(rows[:, :n])) > f0_level
 
     width = n * (2 if flow.has_v else 1) + (1 if flow.has_gamma else 0)
+    rejects = None if f0_level is None else above_level
     for rows, draws in _kept_blocks(box_rng(seed), samples, width, rejects):
+        x = box(rows[:, :n])
         yield flows.FlowState(
-            np.zeros(len(rows)), box(rows[:, :n]),
+            np.zeros(len(rows)), x,
             v=box(rows[:, n:2 * n]) if flow.has_v else None,
             gamma=gamma_lo + (gamma_hi - gamma_lo) * rows[:, -1] if flow.has_gamma else None,
+            grad=oracle.grad_h(x),
         ), draws
 
 
@@ -207,9 +207,10 @@ def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
     """Sampled check of -grad(L) . G >= c L^q + p^2.
 
     For domain "sublevel" only states with f(x) <= the oracle's f0_level
-    are kept (rejection sampling, capped at 200x the requested count).
-    PASS iff every slack is >= -1e-9 (1 + |L|^q); a NaN slack is a
-    violation.
+    are kept (rejection sampling, capped at 200x the requested count); the
+    states of domain "prox" are prox points carrying a subgradient of a
+    composite f.  PASS iff every slack is >= -SLACK_TOL (1 + |L|^q); a NaN
+    slack is a violation.
     """
     if lyap.strong_params is None:
         raise LyapunovConfigError("Lyapunov spec has no strong-condition parameters")
@@ -219,9 +220,11 @@ def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
         if f0_level is None:
             raise LyapunovConfigError("sublevel domain needs an f0 level")
     params = lyap.strong_params
+    states = (_sample_prox_points(flow.oracle, samples, seed) if lyap.domain == "prox"
+              else _sample_states(flow, samples, seed, f0_level))
 
     def blocks():
-        for st, draws in _sample_states(flow, samples, seed, f0_level):
+        for st, draws in states:
             lval = evaluate(lyap, flow.oracle, st)
             slack = decay_rate(lyap, flow, st) - params.c(st) * lval ** params.q - params.p_sq(st)
             yield slack, SLACK_TOL * (1.0 + np.abs(lval) ** params.q), st.x, draws
@@ -230,14 +233,15 @@ def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
 
 
 def _sample_prox_points(oracle: ProblemOracle, samples: int, seed: int):
-    """The composite check's sample points: yields (y, x, draws) per block.
+    """The states of domain "prox": yields (states, draws) per block.
 
     A draw w, uniform on a box around x*, maps to the gradient step
-    y = w - s grad h(w) and x = prox_g(y, s), s = 1/L.  The box radius is
-    SAMPLING_RADIUS when mu > 0.  When mu = 0 it is log-uniform on
-    [0.01, SAMPLING_RADIUS], since in high dimension a fixed box almost
-    never lands the prox point inside the initial sublevel set, and only
-    points with f(x) <= f0_level are kept.
+    y = w - s grad h(w) and x = prox_g(y, s), s = 1/L, whose state carries
+    xi = grad h(x) + (y - x)/s, an element of the subdifferential of f at x.
+    The box radius is SAMPLING_RADIUS when mu > 0.  When mu = 0 it is
+    log-uniform on [0.01, SAMPLING_RADIUS], since in high dimension a fixed
+    box almost never lands the prox point inside the initial sublevel set,
+    and only points with f(x) <= f0_level are kept.
     """
     s = 1.0 / oracle.lip
     mu = oracle.mu
@@ -256,54 +260,34 @@ def _sample_prox_points(oracle: ProblemOracle, samples: int, seed: int):
         y = w - s * oracle.grad_h(w)
         return y, oracle.prox_g(y, s)
 
-    rejects = None
-    if mu == 0:
-        def rejects(rows):
-            return oracle.eval_f(prox_points(rows)[1]) > oracle.f0_level
+    def above_level(rows):
+        return oracle.eval_f(prox_points(rows)[1]) > oracle.f0_level
 
     width = oracle.dim + (0 if mu > 0 else 1)
-    for rows, draws in _kept_blocks(box_rng(seed), samples, width, rejects):
-        yield (*prox_points(rows), draws)
+    for rows, draws in _kept_blocks(box_rng(seed), samples, width,
+                                    None if mu > 0 else above_level):
+        y, x = prox_points(rows)
+        yield flows.FlowState(np.zeros(len(rows)), x, grad=oracle.grad_h(x) + (y - x) / s), draws
 
 
 def composite_condition_check(oracle: ProblemOracle, samples: int, seed: int,
                               c_override: Optional[float] = None) -> dict:
-    """Strong condition for composite f = h + g at prox-generated points.
-
-    A sampled w is mapped to x = prox_g(w - s grad h(w), s) with s = 1/L,
-    where the prox supplies the canonical subgradient q of g at x, so
-    d = grad h(x) + q is a concrete element of the subdifferential.  The
-    inequality checked is ||d||^2 >= c L^q(x) + ||d||^2 / 2 with
-    (c, q) = (mu, 1) when mu > 0 and (1/(2 R0^2), 2) on the f(0)-sublevel
-    set when mu = 0.  A NaN slack is a violation.
-    """
+    """The strong check of gradient flow on a composite f = h + g at prox
+    points: composite_sc when mu > 0, composite_convex when mu = 0."""
     if not oracle.is_composite:
         raise LyapunovConfigError("composite pairing needs a composite oracle")
-    if oracle.mu > 0:
-        c_val, q = oracle.mu, 1.0
-    else:
-        if oracle.radius_r0 is None or oracle.f0_level is None:
-            raise LyapunovConfigError("mu = 0 composite pairing needs R0 and f0")
-        c_val, q = 1.0 / (2.0 * oracle.radius_r0 ** 2), 2.0
-    if c_override is not None:
-        c_val = c_override
-    s = 1.0 / oracle.lip
-
-    def blocks():
-        for y, x, draws in _sample_prox_points(oracle, samples, seed):
-            d = oracle.grad_h(x) + (y - x) / s
-            dsq = rowdot(d, d)
-            lval = oracle.eval_f(x) - oracle.f_star
-            slack = dsq - c_val * lval ** q - 0.5 * dsq
-            yield slack, SLACK_TOL * (1.0 + np.abs(lval) ** q), x, draws
-
-    return _report(blocks(), samples)
+    if oracle.mu == 0 and (oracle.radius_r0 is None or oracle.f0_level is None):
+        raise LyapunovConfigError("mu = 0 composite pairing needs R0 and f0")
+    name = "composite_sc" if oracle.mu > 0 else "composite_convex"
+    return strong_condition_check(*_PAIRINGS[name](oracle, c_override), samples, seed)
 
 
 # ---------------------------------------------------------------------------
 # Named pairings for the verifier CLI and the acceptance suite.
 # ---------------------------------------------------------------------------
 
+# A named pairing's problem is built on first use and shared: oracles are immutable.
+@functools.cache
 def _sc_quadratic() -> ProblemOracle:
     return make_quadratic([1.0, 4.0], [1.0, -2.0])
 
@@ -325,7 +309,7 @@ def _pairing(flow: str, kind: str, c: Callable, p_sq: Callable, q: float = 1.0,
 
 
 def _grad_sq(model, st):
-    g = model.oracle.grad_h(st.x)
+    g = flows.state_grad(model.oracle, st)
     return rowdot(g, g)
 
 
@@ -340,7 +324,7 @@ pairing_gd_combined = _pairing("gradient", "combined_mu", lambda m, st: m.oracle
 # Gradient flow, mu = 0, on the initial sublevel set: c = 1/R0^2, q = 2, p = 0.
 pairing_gf_convex = _pairing("gradient", "opt_gap", lambda m, st: 1.0 / m.oracle.radius_r0 ** 2,
                              lambda m, st: 0.0, q=2.0, domain="sublevel",
-                             problem=lambda: make_logcosh(2.0, dim=2))
+                             problem=functools.cache(lambda: make_logcosh(2.0, dim=2)))
 # Rescaled gradient flow: c = 1, q = 1, p^2 = |grad f|^2 / gamma.
 pairing_scaled = _pairing("scaled_gradient", "scaled", lambda m, st: 1.0,
                           lambda m, st: _grad_sq(m, st) / st.gamma)
@@ -355,6 +339,7 @@ pairing_hnag = _pairing("hnag", "avd_nag", lambda m, st: 1.0,
                         lambda m, st: m.beta_fn(st.t) * _grad_sq(m, st) + _spread(m, st))
 
 
+@functools.cache
 def _lasso_sc() -> ProblemOracle:
     rng = box_rng(20240707)
     a = rng.standard_normal((12, 8)) + 2.0 * np.eye(12, 8)
@@ -362,6 +347,7 @@ def _lasso_sc() -> ProblemOracle:
     return make_lasso(a, b, 0.5)
 
 
+@functools.cache
 def _lasso_convex() -> ProblemOracle:
     rng = box_rng(20240708)
     a = rng.standard_normal((8, 20))
@@ -369,18 +355,27 @@ def _lasso_convex() -> ProblemOracle:
     return make_lasso(a, b, 0.5)
 
 
-# The named pairings: strong_condition_check runs a smooth one on its
-# (model, spec), composite_condition_check a composite one on its LASSO.
-_SMOOTH_PAIRINGS = {
+# Gradient flow on a composite f, moving on the subgradient xi that each prox
+# point carries, with L = f - f*: c = mu, q = 1, p^2 = |xi|^2 / 2.
+pairing_composite_sc = _pairing("gradient", "opt_gap", lambda m, st: m.oracle.mu,
+                                lambda m, st: 0.5 * _grad_sq(m, st), domain="prox",
+                                problem=_lasso_sc)
+# The same with mu = 0, on the f(0)-sublevel set: c = 1/(2 R0^2), q = 2.
+pairing_composite_convex = _pairing(
+    "gradient", "opt_gap", lambda m, st: 1.0 / (2.0 * m.oracle.radius_r0 ** 2),
+    lambda m, st: 0.5 * _grad_sq(m, st), q=2.0, domain="prox", problem=_lasso_convex)
+
+_PAIRINGS = {
     "gd_combined": pairing_gd_combined,
     "gf_convex": pairing_gf_convex,
     "scaled": pairing_scaled,
     "hb": pairing_hb,
     "avd": pairing_avd,
     "hnag": pairing_hnag,
+    "composite_sc": pairing_composite_sc,
+    "composite_convex": pairing_composite_convex,
 }
-_COMPOSITE_PAIRINGS = {"composite_sc": _lasso_sc, "composite_convex": _lasso_convex}
-PAIRING_NAMES = (*_SMOOTH_PAIRINGS, *_COMPOSITE_PAIRINGS)
+PAIRING_NAMES = tuple(_PAIRINGS)
 _FLOW_PAIRINGS = {"gradient": "gd_combined", "scaled_gradient": "scaled",
                   "heavy_ball": "hb", "avd_r3": "avd", "hnag": "hnag"}
 
@@ -391,20 +386,15 @@ def flow_pairing(kind: str, oracle: ProblemOracle):
     if kind not in _FLOW_PAIRINGS:
         raise LyapunovConfigError(f"unknown flow model: {kind!r}")
     name = "gf_convex" if kind == "gradient" and oracle.mu == 0 else _FLOW_PAIRINGS[kind]
-    return _SMOOTH_PAIRINGS[name](oracle)
+    return _PAIRINGS[name](oracle)
 
 
 def verify_pairing(name: str, samples: int, seed: int,
                    c_override: Optional[float] = None) -> dict:
     """Run the named verifier pairing and return its report."""
-    if name in _SMOOTH_PAIRINGS:
-        model, lyap = _SMOOTH_PAIRINGS[name](c_override=c_override)
-        report = strong_condition_check(model, lyap, samples, seed)
-    elif name in _COMPOSITE_PAIRINGS:
-        report = composite_condition_check(_COMPOSITE_PAIRINGS[name](), samples, seed,
-                                           c_override)
-    else:
+    if name not in _PAIRINGS:
         raise LyapunovConfigError(f"unknown pairing: {name!r}")
+    report = strong_condition_check(*_PAIRINGS[name](c_override=c_override), samples, seed)
     report["pairing"] = name
     return report
 

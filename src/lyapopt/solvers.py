@@ -18,10 +18,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import lyapunov, schedules
+from . import calculus, lyapunov, schedules
 from .problems import ProblemOracle, rowdot
 
-CERT_TOL = 1e-9
 # steps per block of the run loop: the steps run one after another, and each
 # block's certificate columns are computed at once
 RUN_BLOCK = 256
@@ -648,7 +647,7 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
                 else:
                     l_old = np.concatenate((l_cur[-1:], lyap[:-1]))
                     violations += int(np.count_nonzero(
-                        ~(slack >= -CERT_TOL * (1.0 + np.abs(l_old)))))
+                        ~(slack >= -calculus.SLACK_TOL * (1.0 + np.abs(l_old)))))
             rhos = method.rho(rho, block)
             ks = range(done + 1, done + n + 1)
             columns.append(TraceRecord(

@@ -283,12 +283,27 @@ class TestStartState:
 
 
 class TestCompositeRefused:
-    # every field moves on grad_h alone, so the l1 term would be dropped
+    LASSO = make_lasso([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 0.0, 1.0], 0.3)
+
+    # each RK4 stage moves on grad h alone, so the l1 subgradient would be dropped
     @pytest.mark.parametrize("kind", flows.FLOW_KINDS)
     def test_lasso_refused(self, kind):
-        lasso = make_lasso([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 0.0, 1.0], 0.3)
+        model = FlowModel(kind, self.LASSO)
+        state0 = flows.start_state(model, [1.0, 2.0])
         with pytest.raises(FlowError, match="smooth objectives only"):
-            FlowModel(kind, lasso)
+            integrate(model, state0, state0.t + 1.0, 1e-2)
+
+    @pytest.mark.parametrize("kind", flows.FLOW_KINDS)
+    def test_field_refuses_state_without_subgradient(self, kind):
+        model = FlowModel(kind, self.LASSO)
+        with pytest.raises(FlowError, match="carries its subgradient"):
+            flows.field(model, flows.start_state(model, [1.0, 2.0]))
+
+    def test_gradient_field_moves_on_carried_subgradient(self):
+        model = FlowModel("gradient", self.LASSO)
+        xi = np.array([[0.3, -1.7], [2.5, 0.0]])
+        vel = flows.field(model, FlowState(np.zeros(2), np.ones((2, 2)), grad=xi))
+        assert np.array_equal(vel.x, -xi)
 
 
 class TestDecayChecks:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapopt import flows, lyapunov
+from lyapopt import calculus, flows, lyapunov
 from lyapopt.lyapunov import (
     LyapunovConfigError,
     LyapunovSpec,
@@ -17,9 +17,9 @@ from lyapopt.lyapunov import (
     strong_condition_check,
     verify_pairing,
 )
-from lyapopt.problems import box_rng, make_logcosh, make_quadratic
+from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic
 
-RADIUS = lyapunov.SAMPLING_RADIUS
+RADIUS = calculus.SAMPLING_RADIUS
 
 
 def reference_strong_check(flow, lyap, samples, seed, f0_level=None):
@@ -42,28 +42,55 @@ def reference_strong_check(flow, lyap, samples, seed, f0_level=None):
                  - params.p_sq(st))
         if slack < min_slack:
             min_slack, arg_min = slack, x.tolist()
-        if not slack >= -lyapunov.SLACK_TOL * (1.0 + abs(lval) ** params.q):
+        if not slack >= -calculus.SLACK_TOL * (1.0 + abs(lval) ** params.q):
             violations += 1
     return {"samples": kept, "draws": draws, "min_slack": min_slack,
             "violations": violations, "arg_min_x": arg_min}
 
 
 def reference_prox_draws(oracle, samples, seed):
-    """Per-draw log-uniform radius and box draw of the mu = 0 composite check."""
+    """Per-draw prox points of the composite check: the box draw (with a
+    log-uniform radius when mu = 0, keeping only the f0 sublevel set),
+    mapped to y = w - s grad h(w), x = prox_g(y, s).  Returns the kept
+    (y, x) pairs and the draws."""
     rng = box_rng(seed)
     s = 1.0 / oracle.lip
-    ys, xs, draws = [], [], 0
-    while len(xs) < samples and draws < 200 * samples:
-        radius = 10.0 ** rng.uniform(-2.0, math.log10(RADIUS))
+    points, draws = [], 0
+    while len(points) < samples and draws < 200 * samples:
+        radius = RADIUS if oracle.mu > 0 else 10.0 ** rng.uniform(-2.0, math.log10(RADIUS))
         w = oracle.x_star + rng.uniform(-radius, radius, size=oracle.dim)
         draws += 1
         y = w - s * oracle.grad_h(w)
         x = oracle.prox_g(y, s)
-        if oracle.eval_f(x) > oracle.f0_level:
+        if oracle.mu == 0 and oracle.eval_f(x) > oracle.f0_level:
             continue
-        ys.append(y)
-        xs.append(x)
-    return np.array(ys), np.array(xs), draws
+        points.append((y, x))
+    return points, draws
+
+
+def reference_composite_check(oracle, samples, seed, c=None):
+    """The composite check as a per-sample loop on its own formula: with
+    d = grad h(x) + (y - x)/s, an element of the subdifferential at x, the
+    slack is |d|^2 - c L^q - |d|^2 / 2 for L = f - f*."""
+    if oracle.mu > 0:
+        rate, q = oracle.mu, 1.0
+    else:
+        rate, q = 1.0 / (2.0 * oracle.radius_r0 ** 2), 2.0
+    c = rate if c is None else c
+    s = 1.0 / oracle.lip
+    points, draws = reference_prox_draws(oracle, samples, seed)
+    violations, min_slack, arg_min = 0, math.inf, None
+    for y, x in points:
+        d = oracle.grad_h(x) + (y - x) / s
+        dsq = float(np.dot(d, d))
+        lval = oracle.eval_f(x) - oracle.f_star
+        slack = dsq - c * lval ** q - 0.5 * dsq
+        if slack < min_slack:
+            min_slack, arg_min = slack, x.tolist()
+        if not slack >= -calculus.SLACK_TOL * (1.0 + abs(lval) ** q):
+            violations += 1
+    return {"samples": len(points), "draws": draws, "min_slack": min_slack,
+            "violations": violations, "arg_min_x": arg_min}
 
 QUAD = make_quadratic([1.0, 4.0], [1.0, -2.0])
 
@@ -181,7 +208,7 @@ class TestStrongConditionCheck:
     ])
     def test_flow_pairing(self, kind, oracle, name):
         model, lyap = lyapunov.flow_pairing(kind, oracle)
-        want_model, want = lyapunov._SMOOTH_PAIRINGS[name](oracle)
+        want_model, want = lyapunov._PAIRINGS[name](oracle)
         assert model.kind == want_model.kind == kind and model.oracle is oracle
         assert (lyap.kind, lyap.domain, lyap.strong_params.q) == \
             (want.kind, want.domain, want.strong_params.q)
@@ -193,6 +220,25 @@ class TestStrongConditionCheck:
     def test_composite_pairing_needs_composite(self):
         with pytest.raises(LyapunovConfigError):
             lyapunov.composite_condition_check(QUAD, 10, 0)
+
+    def test_convex_composite_pairing_needs_r0_and_f0(self):
+        o = dataclasses.replace(lyapunov._lasso_convex(), radius_r0=None)
+        with pytest.raises(LyapunovConfigError, match="needs R0 and f0"):
+            lyapunov.composite_condition_check(o, 10, 0)
+
+    def test_reference_problem_built_once(self, monkeypatch):
+        # the pairing's LASSO is built on first use and shared by later calls
+        built = []
+
+        def counting_make_lasso(*args):
+            built.append(args)
+            return make_lasso(*args)
+
+        monkeypatch.setattr(lyapunov, "make_lasso", counting_make_lasso)
+        lyapunov._lasso_convex.cache_clear()
+        first = verify_pairing("composite_convex", 200, 0)
+        assert verify_pairing("composite_convex", 200, 0) == first
+        assert len(built) == 1
 
     def test_gap_bounded_by_radius_times_gradient(self):
         # inside the initial sublevel set, f - f* <= R0 |grad f|
@@ -228,10 +274,32 @@ class TestBatchedSampling:
         monkeypatch.setattr(lyapunov, "_BLOCK_VALUES", block_values)
         o = lyapunov._lasso_convex()
         blocks = list(lyapunov._sample_prox_points(o, 400, 3))
-        ref_y, ref_x, ref_draws = reference_prox_draws(o, 400, 3)
-        assert blocks[-1][2] == ref_draws > 400
-        assert np.array_equal(np.concatenate([b[0] for b in blocks]), ref_y)
-        assert np.array_equal(np.concatenate([b[1] for b in blocks]), ref_x)
+        ref, ref_draws = reference_prox_draws(o, 400, 3)
+        s = 1.0 / o.lip
+        assert blocks[-1][1] == ref_draws > 400
+        assert np.array_equal(np.concatenate([st.x for st, _ in blocks]),
+                              np.array([x for _, x in ref]))
+        # each state carries xi = grad h(x) + (y - x)/s
+        assert np.array_equal(np.concatenate([st.grad for st, _ in blocks]),
+                              np.array([o.grad_h(x) + (y - x) / s for y, x in ref]))
+
+    @pytest.mark.parametrize("block_values", [lyapunov._BLOCK_VALUES, 64])
+    @pytest.mark.parametrize("name", ["composite_sc", "composite_convex"])
+    def test_composite_report_matches_per_sample_loop(self, name, block_values, monkeypatch):
+        monkeypatch.setattr(lyapunov, "_BLOCK_VALUES", block_values)
+        model, lyap = getattr(lyapunov, "pairing_" + name)()
+        report = strong_condition_check(model, lyap, 500, 4)
+        ref = reference_composite_check(model.oracle, 500, 4)
+        for key in ("samples", "draws", "min_slack", "violations", "arg_min_x"):
+            assert report[key] == ref[key], key
+
+    def test_inflated_composite_rate_matches_per_sample_loop(self):
+        o = lyapunov._lasso_sc()
+        report = lyapunov.composite_condition_check(o, 2000, 0, c_override=2.0 * o.mu)
+        ref = reference_composite_check(o, 2000, 0, c=2.0 * o.mu)
+        assert report["violations"] > 0 and not report["pass"]
+        for key in ("samples", "draws", "min_slack", "violations", "arg_min_x"):
+            assert report[key] == ref[key], key
 
     @pytest.mark.parametrize("block_values", [lyapunov._BLOCK_VALUES, 64])
     @pytest.mark.parametrize("name", ["hnag", "avd", "gf_convex"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyapopt import flows, harness, lyapunov, schedules, solvers
+from lyapopt import calculus, flows, harness, lyapunov, schedules, solvers
 from lyapopt.problems import (box_rng, make_lasso, make_logcosh, make_quadratic,
                               problem_from_json)
 from lyapopt.solvers import (
@@ -671,7 +671,7 @@ def reference_run(oracle, kind, x0, v0=None, gamma0=None, iters=100, alpha=None,
             slack = slack_fn(oracle, state, new, q_cur, q_new)
             if not method.certificate:
                 certified = False
-            elif not slack >= -solvers.CERT_TOL * (1.0 + abs(l_cur)):
+            elif not slack >= -calculus.SLACK_TOL * (1.0 + abs(l_cur)):
                 violations += 1
         gnorm = math.sqrt(r_sq)
         records.append((new.k, gap, l_new, bound_fn(oracle, gamma0, alpha, new.k, rho, q0),
@@ -732,11 +732,11 @@ class TestBlockLoopMatchesPerStepLoop:
         assert_same_as_reference(oracle, kind, np.zeros(oracle.dim), iters=iters)
 
     def test_tolerance_scales_with_old_lyapunov_value(self, monkeypatch):
-        # a slack just past -CERT_TOL (1 + |q_old|) is a violation only where
+        # a slack just past -SLACK_TOL (1 + |q_old|) is a violation only where
         # nag's bounded value q_old = L_old - |g|^2/(2L) is far enough below
         # L_old, the value the tolerance scales with
         def slack(q_old):
-            return -solvers.CERT_TOL * (1.0 + abs(q_old)) * (1.0 + 1e-6)
+            return -calculus.SLACK_TOL * (1.0 + abs(q_old)) * (1.0 + 1e-6)
         monkeypatch.setitem(solvers.METHODS, "nag", solvers.METHODS["nag"]._replace(
             slack=lambda o, b, q_old, q_new: slack(q_old) + 0.0 * q_new))
         monkeypatch.setitem(REFERENCE_CERTIFICATES, "nag", (
