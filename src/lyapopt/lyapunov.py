@@ -187,11 +187,12 @@ def _sample_states(flow: flows.FlowModel, samples: int, seed: int,
     def box(u):
         return oracle.x_star + (-SAMPLING_RADIUS + 2.0 * SAMPLING_RADIUS * u)
 
-    def above_level(rows):
-        return oracle.eval_f(box(rows[:, :n])) > f0_level
+    rejects = None
+    if f0_level is not None:
+        def rejects(rows):
+            return oracle.eval_f(box(rows[:, :n])) > f0_level
 
     width = n * (2 if flow.has_v else 1) + (1 if flow.has_gamma else 0)
-    rejects = None if f0_level is None else above_level
     for rows, draws in _kept_blocks(box_rng(seed), samples, width, rejects):
         x = box(rows[:, :n])
         yield flows.FlowState(
@@ -207,25 +208,27 @@ def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
     """Sampled check of -grad(L) . G >= c L^q + p^2.
 
     For domain "sublevel" only states with f(x) <= the oracle's f0_level
-    are kept (rejection sampling, capped at 200x the requested count); the
-    states of domain "prox" are prox points carrying a subgradient of a
-    composite f.  PASS iff every slack is >= -SLACK_TOL (1 + |L|^q); a NaN
+    are kept (rejection sampling, capped at 200x the requested count).  A
+    composite f is checked on domain "prox" only, whose states carry its
+    subgradient.  PASS iff every slack is >= -SLACK_TOL (1 + |L|^q); a NaN
     slack is a violation.
     """
     if lyap.strong_params is None:
         raise LyapunovConfigError("Lyapunov spec has no strong-condition parameters")
-    f0_level = None
-    if lyap.domain == "sublevel":
-        f0_level = flow.oracle.f0_level
-        if f0_level is None:
-            raise LyapunovConfigError("sublevel domain needs an f0 level")
+    oracle = flow.oracle
+    if (lyap.domain == "prox") != oracle.is_composite:
+        raise LyapunovConfigError(f"domain {lyap.domain!r} does not fit this objective: only "
+                                  "prox points carry the subgradient of a composite f")
+    sublevel = lyap.domain == "sublevel" or lyap.domain == "prox" and oracle.mu == 0
+    if sublevel and None in (oracle.radius_r0, oracle.f0_level):
+        raise LyapunovConfigError("the f(0)-sublevel set needs R0 and f0")
     params = lyap.strong_params
-    states = (_sample_prox_points(flow.oracle, samples, seed) if lyap.domain == "prox"
-              else _sample_states(flow, samples, seed, f0_level))
+    states = (_sample_prox_points(oracle, samples, seed) if lyap.domain == "prox"
+              else _sample_states(flow, samples, seed, oracle.f0_level if sublevel else None))
 
     def blocks():
         for st, draws in states:
-            lval = evaluate(lyap, flow.oracle, st)
+            lval = evaluate(lyap, oracle, st)
             slack = decay_rate(lyap, flow, st) - params.c(st) * lval ** params.q - params.p_sq(st)
             yield slack, SLACK_TOL * (1.0 + np.abs(lval) ** params.q), st.x, draws
 
@@ -260,12 +263,13 @@ def _sample_prox_points(oracle: ProblemOracle, samples: int, seed: int):
         y = w - s * oracle.grad_h(w)
         return y, oracle.prox_g(y, s)
 
-    def above_level(rows):
-        return oracle.eval_f(prox_points(rows)[1]) > oracle.f0_level
+    rejects = None
+    if mu == 0:
+        def rejects(rows):
+            return oracle.eval_f(prox_points(rows)[1]) > oracle.f0_level
 
     width = oracle.dim + (0 if mu > 0 else 1)
-    for rows, draws in _kept_blocks(box_rng(seed), samples, width,
-                                    None if mu > 0 else above_level):
+    for rows, draws in _kept_blocks(box_rng(seed), samples, width, rejects):
         y, x = prox_points(rows)
         yield flows.FlowState(np.zeros(len(rows)), x, grad=oracle.grad_h(x) + (y - x) / s), draws
 
@@ -274,10 +278,6 @@ def composite_condition_check(oracle: ProblemOracle, samples: int, seed: int,
                               c_override: Optional[float] = None) -> dict:
     """The strong check of gradient flow on a composite f = h + g at prox
     points: composite_sc when mu > 0, composite_convex when mu = 0."""
-    if not oracle.is_composite:
-        raise LyapunovConfigError("composite pairing needs a composite oracle")
-    if oracle.mu == 0 and (oracle.radius_r0 is None or oracle.f0_level is None):
-        raise LyapunovConfigError("mu = 0 composite pairing needs R0 and f0")
     name = "composite_sc" if oracle.mu > 0 else "composite_convex"
     return strong_condition_check(*_PAIRINGS[name](oracle, c_override), samples, seed)
 

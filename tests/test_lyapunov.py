@@ -225,6 +225,23 @@ class TestStrongConditionCheck:
         o = dataclasses.replace(lyapunov._lasso_convex(), radius_r0=None)
         with pytest.raises(LyapunovConfigError, match="needs R0 and f0"):
             lyapunov.composite_condition_check(o, 10, 0)
+        with pytest.raises(LyapunovConfigError, match="needs R0 and f0"):
+            strong_condition_check(*lyapunov.pairing_composite_convex(o), 10, 0)
+
+    def test_prox_domain_refuses_smooth_objective(self):
+        with pytest.raises(LyapunovConfigError, match="does not fit"):
+            strong_condition_check(*lyapunov.pairing_composite_sc(QUAD), 10, 0)
+
+    @pytest.mark.parametrize("kind, problem", [
+        *((kind, "_lasso_sc") for kind in flows.FLOWS),
+        ("gradient", "_lasso_convex"),
+    ])
+    def test_box_states_refuse_composite_objective(self, kind, problem):
+        # box and sublevel states carry grad h alone, which drops g's subgradient
+        model, lyap = lyapunov.flow_pairing(kind, getattr(lyapunov, problem)())
+        assert lyap.domain in ("box", "sublevel")
+        with pytest.raises(LyapunovConfigError, match="does not fit"):
+            strong_condition_check(model, lyap, 10, 0)
 
     def test_reference_problem_built_once(self, monkeypatch):
         # the pairing's LASSO is built on first use and shared by later calls
