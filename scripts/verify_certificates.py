@@ -1,8 +1,9 @@
 """Exercise the numeric verification layer end to end.
 
 Runs every strong-Lyapunov pairing, the contraction-factor bound tables for
-each accelerated step rule, and the continuous decay checks, printing one
-line per check.  Exits nonzero if anything fails.
+each accelerated step rule, the continuous decay checks, and each flow's
+strong check on two LASSOs (mu > 0 and mu = 0; heavy ball needs mu > 0),
+printing one line per check.  Exits nonzero if anything fails.
 
 Usage: python scripts/verify_certificates.py [--samples 10000] [--kmax 1000]
 """
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from lyapopt import flows, harness, lyapunov
-from lyapopt.problems import make_quadratic
+from lyapopt.problems import box_rng, make_lasso, make_quadratic
 
 
 def main():
@@ -49,6 +50,24 @@ def main():
               f"max rel error {rep['max_rel_error']: .3e}  "
               f"{'PASS' if rep['pass'] else 'FAIL'}")
         failed |= not rep["pass"]
+
+    rng = box_rng(1)
+    lassos = (make_lasso(rng.standard_normal((12, 8)) + 2.0 * np.eye(12, 8),
+                         rng.standard_normal(12), 0.5),
+              make_lasso(rng.standard_normal((8, 20)), rng.standard_normal(8), 0.5))
+    for name in flows.FLOW_KINDS:
+        slacks, ok = [], True
+        for oracle in lassos:
+            if flows.FLOWS[name].needs_mu and oracle.mu == 0:
+                slacks.append("skipped")
+                continue
+            rep = lyapunov.strong_condition_check(*lyapunov.flow_pairing(name, oracle),
+                                                  args.samples, args.seed)
+            slacks.append(f"{rep['min_slack']: .3e}")
+            ok &= rep["pass"]
+        print(f"composite {name:16s} min slack mu>0 {slacks[0]}  mu=0 {slacks[1]}  "
+              f"{'PASS' if ok else 'FAIL'}")
+        failed |= not ok
 
     return 1 if failed else 0
 

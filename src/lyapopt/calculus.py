@@ -17,6 +17,8 @@ from .problems import ProblemOracle, box_rng, rowdot, sample_box, unbox
 # every verifier's slack tolerance and sampling-box radius
 SLACK_TOL = 1e-9
 SAMPLING_RADIUS = 10.0
+# how far a rate table's measured factor (or sequence) may exceed its bound
+TABLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -33,35 +33,27 @@ class ConfigError(ValueError):
 RUN_HEADER = ("k", "f_gap", "lyapunov", "bound", "slack", "grad_norm", "alpha", "gamma")
 
 
-def _cell_format(key) -> str:
-    # key is the cell's type, or a true bool (v != v) for a NaN cell;
-    # "%.0s" consumes a NaN or None and prints nothing
-    if not isinstance(key, type) or key is type(None):
-        return "%.0s"
-    if issubclass(key, float):
-        return "%.17g"
-    if issubclass(key, int) and not issubclass(key, bool):
-        return "%d"
-    return "%s"
-
-
 def write_csv(path, header, rows):
     """Write a trace CSV as csv.writer would, one row at a time as rows
-    yields them: floats with 17 significant digits, NaN and None as empty
-    cells, every other value as str(), and \r\n line ends.
+    yields them: numbers with 17 significant digits (an int below 1e17
+    prints as itself), every other value as str(), a cell that prints as
+    nan left empty, and \r\n line ends.
 
-    Cells hold numbers and plain strings, so none needs quoting.  Each row
-    is one %-format, built once per pattern of cell types and NaNs.
+    Cells hold numbers and plain strings, so none needs quoting.  Every row
+    is one %-format, built from the first row's cell types: a column keeps
+    its type over the rows, and only NaN varies.
     """
-    formats = {}
+    fmt = None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:
-            key = tuple([v != v or type(v) for v in row])
-            fmt = formats.get(key)
             if fmt is None:
-                fmt = formats[key] = ",".join(map(_cell_format, key)) + "\r\n"
-            fh.write(fmt % tuple(row))
+                fmt = ",".join("%.17g" if isinstance(v, (int, float)) and not isinstance(v, bool)
+                               else "%s" for v in row) + "\r\n"
+            line = fmt % tuple(row)
+            if "nan" in line:
+                line = ",".join("" if c == "nan" else c for c in line[:-2].split(",")) + "\r\n"
+            fh.write(line)
 
 
 def run_rows(result):
@@ -221,7 +213,7 @@ def cmd_rates(rule: str, r: float, mu_over_l: float, k_max: int,
         write_csv(out, ("k", "rho_measured", "rho_bound"), rows)
         log.info("rate table written to %s", out)
     # the measured factors are numpy floats: cast so the report is plain JSON
-    ok = finite and bool(max_slack_violation <= 1e-12)
+    ok = finite and bool(max_slack_violation <= calculus.TABLE_TOL)
     log.info("rates %s: %s", rule, "PASS" if ok else "FAIL")
     return {"rule": rule, "k_max": k_max, "pass": ok,
             "max_violation": float(max_slack_violation) if finite else None}

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import flows
-from .calculus import SAMPLING_RADIUS, SLACK_TOL, sampled_verdict
+from .calculus import SAMPLING_RADIUS, SLACK_TOL, TABLE_TOL, sampled_verdict
 from .problems import (ProblemOracle, box_rng, make_lasso, make_logcosh, make_quadratic,
                        rowdot, unbox)
 
@@ -58,7 +58,7 @@ class StrongParams:
 class LyapunovSpec:
     kind: str
     strong_params: Optional[StrongParams] = None
-    domain: str = "box"  # "box", "sublevel" or "prox": see strong_condition_check
+    domain: str = "box"  # the region x is drawn from: "box" or "sublevel"
 
     def __post_init__(self):
         if self.kind not in LYAPUNOV_KINDS:
@@ -125,28 +125,6 @@ def decay_rate(lyap: LyapunovSpec, model: flows.FlowModel, state: flows.FlowStat
 _BLOCK_VALUES = 1 << 13
 
 
-def _kept_blocks(rng, samples: int, width: int, rejects=None):
-    """Rejection sampling over rows of `width` uniforms on [0, 1).
-
-    Draw i is row i of the rng.random((k, width)) blocks, which is the
-    stream that per-draw rng.uniform calls for `width` values consume.
-    Keeps the first `samples` draws that rejects(rows) does not refuse,
-    drawing at most 200 * samples.  Yields (rows, draws) per block: the
-    kept rows and the draws so far, which after the last block is the
-    index of the last kept draw + 1, or the cap.
-    """
-    cap = 200 * samples
-    block = max(1, min(samples, _BLOCK_VALUES // width))
-    n_kept = draws = 0
-    while n_kept < samples and draws < cap:
-        rows = rng.random((min(block, cap - draws), width))
-        idx = np.arange(len(rows)) if rejects is None else np.flatnonzero(~rejects(rows))
-        idx = idx[:samples - n_kept]
-        n_kept += idx.size
-        draws += int(idx[-1]) + 1 if n_kept == samples else len(rows)
-        yield rows[idx], draws
-
-
 def _report(blocks, samples: int) -> dict:
     """The verdict over (slack, tol, points, draws) blocks: the worst slack
     and its first point, as sampled_verdict gives them over all samples.
@@ -174,32 +152,68 @@ def _report(blocks, samples: int) -> dict:
 def _sample_states(flow: flows.FlowModel, samples: int, seed: int,
                    f0_level: Optional[float] = None):
     """The states the strong check runs on: yields (states, draws) per
-    block, the states as one batched FlowState carrying grad h.
+    block, the states as one batched FlowState carrying a (sub)gradient.
 
-    Each draw is a state with x (and v) uniform on the box of radius
-    SAMPLING_RADIUS around x* and gamma uniform on GAMMA_RANGE.  With an
-    f0_level only states with f(x) <= f0_level are kept.
+    Draw i is row i of the rng.random((k, width)) blocks, the stream that
+    per-draw rng.uniform calls consume, laid out [log-radius u if any | x |
+    v | gamma].  x and v are uniform on the box of radius SAMPLING_RADIUS
+    around x*, gamma on GAMMA_RANGE, and a state carries grad h(x).  On a
+    composite f = h + g the x draw w maps to the gradient step
+    y = w - s grad h(w) and x = prox_g(y, s), s = 1/L, whose state carries
+    xi = grad h(x) + (y - x)/s, an element of the subdifferential of f at
+    x; when mu = 0, w's box radius is log-uniform on [0.01,
+    SAMPLING_RADIUS], since in high dimension a fixed box almost never
+    lands the prox point inside the initial sublevel set.
+
+    With an f0_level only states with f(x) <= f0_level are kept (a NaN
+    f(x) is kept, and fails the check).  The first `samples` kept draws
+    of at most 200 * samples are checked; after the last block, draws is
+    the index of the last kept draw + 1, or the cap.
     """
     oracle = flow.oracle
-    n = oracle.dim
+    n, s = oracle.dim, 1.0 / oracle.lip
+    composite = oracle.is_composite
+    lead = 1 if composite and oracle.mu == 0 else 0
+    width = lead + n * (2 if flow.has_v else 1) + (1 if flow.has_gamma else 0)
     gamma_lo, gamma_hi = GAMMA_RANGE
+    exp_lo = -2.0
+    exp_span = math.log10(SAMPLING_RADIUS) - exp_lo
 
-    def box(u):
-        return oracle.x_star + (-SAMPLING_RADIUS + 2.0 * SAMPLING_RADIUS * u)
+    def box(u, radius=SAMPLING_RADIUS):
+        return oracle.x_star + (-radius + 2.0 * radius * u)
 
-    rejects = None
-    if f0_level is not None:
-        def rejects(rows):
-            return oracle.eval_f(box(rows[:, :n])) > f0_level
-
-    width = n * (2 if flow.has_v else 1) + (1 if flow.has_gamma else 0)
-    for rows, draws in _kept_blocks(box_rng(seed), samples, width, rejects):
-        x = box(rows[:, :n])
+    rng = box_rng(seed)
+    cap = 200 * samples
+    block = max(1, min(samples, _BLOCK_VALUES // width))
+    n_kept = draws = 0
+    while n_kept < samples and draws < cap:
+        rows = rng.random((min(block, cap - draws), width))
+        if f0_level is None:
+            rows = rows[:samples - n_kept]
+        radius = SAMPLING_RADIUS
+        if lead:
+            # Python's float pow: numpy's vectorized power can differ by an ulp
+            exponents = (exp_lo + exp_span * rows[:, 0]).tolist()
+            radius = np.array([10.0 ** e for e in exponents])[:, None]
+        x = box(rows[:, lead:lead + n], radius)
+        if composite:
+            y = x - s * oracle.grad_h(x)
+            x = oracle.prox_g(y, s)
+        if f0_level is None:
+            idx = np.arange(len(rows))
+        else:
+            idx = np.flatnonzero(~(oracle.eval_f(x) > f0_level))[:samples - n_kept]
+        n_kept += idx.size
+        draws += int(idx[-1]) + 1 if n_kept == samples else len(rows)
+        rows, x = rows[idx], x[idx]
+        grad = oracle.grad_h(x)
+        if composite:
+            grad = grad + (y[idx] - x) / s
         yield flows.FlowState(
             np.zeros(len(rows)), x,
-            v=box(rows[:, n:2 * n]) if flow.has_v else None,
+            v=box(rows[:, lead + n:lead + 2 * n]) if flow.has_v else None,
             gamma=gamma_lo + (gamma_hi - gamma_lo) * rows[:, -1] if flow.has_gamma else None,
-            grad=oracle.grad_h(x),
+            grad=grad,
         ), draws
 
 
@@ -208,26 +222,22 @@ def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
     """Sampled check of -grad(L) . G >= c L^q + p^2.
 
     For domain "sublevel" only states with f(x) <= the oracle's f0_level
-    are kept (rejection sampling, capped at 200x the requested count).  A
-    composite f is checked on domain "prox" only, whose states carry its
-    subgradient.  PASS iff every slack is >= -SLACK_TOL (1 + |L|^q); a NaN
-    slack is a violation.
+    are kept (rejection sampling, capped at 200x the requested count).  On
+    a composite f every state is a prox point carrying its subgradient
+    (see _sample_states).  PASS iff every slack is >= -SLACK_TOL
+    (1 + |L|^q); a NaN slack is a violation.
     """
     if lyap.strong_params is None:
         raise LyapunovConfigError("Lyapunov spec has no strong-condition parameters")
     oracle = flow.oracle
-    if (lyap.domain == "prox") != oracle.is_composite:
-        raise LyapunovConfigError(f"domain {lyap.domain!r} does not fit this objective: only "
-                                  "prox points carry the subgradient of a composite f")
-    sublevel = lyap.domain == "sublevel" or lyap.domain == "prox" and oracle.mu == 0
+    sublevel = lyap.domain == "sublevel"
     if sublevel and None in (oracle.radius_r0, oracle.f0_level):
         raise LyapunovConfigError("the f(0)-sublevel set needs R0 and f0")
     params = lyap.strong_params
-    states = (_sample_prox_points(oracle, samples, seed) if lyap.domain == "prox"
-              else _sample_states(flow, samples, seed, oracle.f0_level if sublevel else None))
 
     def blocks():
-        for st, draws in states:
+        for st, draws in _sample_states(flow, samples, seed,
+                                        oracle.f0_level if sublevel else None):
             lval = evaluate(lyap, oracle, st)
             slack = decay_rate(lyap, flow, st) - params.c(st) * lval ** params.q - params.p_sq(st)
             yield slack, SLACK_TOL * (1.0 + np.abs(lval) ** params.q), st.x, draws
@@ -235,49 +245,12 @@ def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
     return _report(blocks(), samples)
 
 
-def _sample_prox_points(oracle: ProblemOracle, samples: int, seed: int):
-    """The states of domain "prox": yields (states, draws) per block.
-
-    A draw w, uniform on a box around x*, maps to the gradient step
-    y = w - s grad h(w) and x = prox_g(y, s), s = 1/L, whose state carries
-    xi = grad h(x) + (y - x)/s, an element of the subdifferential of f at x.
-    The box radius is SAMPLING_RADIUS when mu > 0.  When mu = 0 it is
-    log-uniform on [0.01, SAMPLING_RADIUS], since in high dimension a fixed
-    box almost never lands the prox point inside the initial sublevel set,
-    and only points with f(x) <= f0_level are kept.
-    """
-    s = 1.0 / oracle.lip
-    mu = oracle.mu
-    exp_lo = -2.0
-    exp_span = math.log10(SAMPLING_RADIUS) - exp_lo
-
-    def prox_points(rows):
-        if mu > 0:
-            radius, u = SAMPLING_RADIUS, rows
-        else:
-            # Python's float pow: numpy's vectorized power can differ by an ulp
-            exponents = (exp_lo + exp_span * rows[:, 0]).tolist()
-            radius = np.array([10.0 ** e for e in exponents])[:, None]
-            u = rows[:, 1:]
-        w = oracle.x_star + (-radius + 2.0 * radius * u)
-        y = w - s * oracle.grad_h(w)
-        return y, oracle.prox_g(y, s)
-
-    rejects = None
-    if mu == 0:
-        def rejects(rows):
-            return oracle.eval_f(prox_points(rows)[1]) > oracle.f0_level
-
-    width = oracle.dim + (0 if mu > 0 else 1)
-    for rows, draws in _kept_blocks(box_rng(seed), samples, width, rejects):
-        y, x = prox_points(rows)
-        yield flows.FlowState(np.zeros(len(rows)), x, grad=oracle.grad_h(x) + (y - x) / s), draws
-
-
 def composite_condition_check(oracle: ProblemOracle, samples: int, seed: int,
                               c_override: Optional[float] = None) -> dict:
     """The strong check of gradient flow on a composite f = h + g at prox
     points: composite_sc when mu > 0, composite_convex when mu = 0."""
+    if not oracle.is_composite:
+        raise LyapunovConfigError("the composite check needs a composite objective")
     name = "composite_sc" if oracle.mu > 0 else "composite_convex"
     return strong_condition_check(*_PAIRINGS[name](oracle, c_override), samples, seed)
 
@@ -358,12 +331,12 @@ def _lasso_convex() -> ProblemOracle:
 # Gradient flow on a composite f, moving on the subgradient xi that each prox
 # point carries, with L = f - f*: c = mu, q = 1, p^2 = |xi|^2 / 2.
 pairing_composite_sc = _pairing("gradient", "opt_gap", lambda m, st: m.oracle.mu,
-                                lambda m, st: 0.5 * _grad_sq(m, st), domain="prox",
-                                problem=_lasso_sc)
+                                lambda m, st: 0.5 * _grad_sq(m, st), problem=_lasso_sc)
 # The same with mu = 0, on the f(0)-sublevel set: c = 1/(2 R0^2), q = 2.
 pairing_composite_convex = _pairing(
     "gradient", "opt_gap", lambda m, st: 1.0 / (2.0 * m.oracle.radius_r0 ** 2),
-    lambda m, st: 0.5 * _grad_sq(m, st), q=2.0, domain="prox", problem=_lasso_convex)
+    lambda m, st: 0.5 * _grad_sq(m, st), q=2.0, domain="sublevel",
+    problem=_lasso_convex)
 
 _PAIRINGS = {
     "gd_combined": pairing_gd_combined,
@@ -479,4 +452,4 @@ def sequence_decay_oracle(case: int, a0: float, alpha: float, k_max: int,
         if bound > 0:
             max_ratio = max(max_ratio, float(a.max()) / bound)
     return {"case": case, "k_max": k_max, "max_ratio": max_ratio,
-            "pass": max_ratio <= 1.0 + 1e-12}
+            "pass": max_ratio <= 1.0 + TABLE_TOL}

@@ -502,13 +502,13 @@ class TestSmoothOnlyKinds:
 
 
 def csv_reference(header, rows) -> bytes:
-    """What csv.writer writes for rows with floats at 17 digits and NaN and
-    None as empty cells."""
+    """What csv.writer writes for rows with floats at 17 digits and NaN as
+    empty cells."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
-        writer.writerow(["" if v is None or (isinstance(v, float) and math.isnan(v))
+        writer.writerow(["" if isinstance(v, float) and math.isnan(v)
                          else "%.17g" % v if isinstance(v, float) else v for v in row])
     return buf.getvalue().encode()
 
@@ -527,9 +527,12 @@ class TestTraceWriter:
             rows = list(harness.run_rows(res))
             assert any(math.isnan(v) for row in rows for v in row)
             self.check(tmp_path, harness.RUN_HEADER, rows)
+        # a column keeps its type over the rows; only NaN varies
         self.check(tmp_path, harness.RUN_HEADER,
                    [(0, math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 5e-324),
-                    (1, np.float64(0.1), np.float64(math.nan), 1.0, 2, None, "", 3.5)])
+                    (1, np.float64(0.1), np.float64(math.nan), 1.0, 2.5, math.nan, 1e300,
+                     3.5),
+                    (2 ** 53, -0.1, 1e-17, -math.inf, math.nan, 1.0, 0.5, 2.0)])
 
     def test_flow_rows(self, tmp_path):
         # the gradient flow carries no gamma: its gamma cells are empty strings

@@ -22,74 +22,74 @@ from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic
 RADIUS = calculus.SAMPLING_RADIUS
 
 
-def reference_strong_check(flow, lyap, samples, seed, f0_level=None):
-    """The per-sample loop: one state drawn and checked at a time."""
-    params, oracle = lyap.strong_params, flow.oracle
+def reference_states(flow, samples, seed, f0_level=None):
+    """The strong check's draws, one at a time by per-value rng.uniform
+    calls: x, then v and gamma.  On a composite f the x draw w (from a box
+    whose radius is log-uniform when mu = 0) maps to y = w - s grad h(w)
+    and the prox point x = prox_g(y, s), which carries
+    xi = grad h(x) + (y - x)/s.  With an f0_level only states with
+    f(x) <= f0_level are kept.  Returns the kept states and the draws."""
+    oracle = flow.oracle
+    composite, s = oracle.is_composite, 1.0 / oracle.lip
     rng = box_rng(seed)
-    kept = draws = violations = 0
-    min_slack, arg_min = math.inf, None
-    while kept < samples and draws < 200 * samples:
-        x = oracle.x_star + rng.uniform(-RADIUS, RADIUS, size=oracle.dim)
+    states, draws = [], 0
+    while len(states) < samples and draws < 200 * samples:
+        radius = RADIUS
+        if composite and oracle.mu == 0:
+            radius = 10.0 ** rng.uniform(-2.0, math.log10(RADIUS))
+        x = oracle.x_star + rng.uniform(-radius, radius, size=oracle.dim)
+        grad = None
+        if composite:
+            y = x - s * oracle.grad_h(x)
+            x = oracle.prox_g(y, s)
+            grad = oracle.grad_h(x) + (y - x) / s
         v = oracle.x_star + rng.uniform(-RADIUS, RADIUS, size=oracle.dim) if flow.has_v else None
         gamma = float(rng.uniform(*lyapunov.GAMMA_RANGE)) if flow.has_gamma else None
         draws += 1
         if f0_level is not None and oracle.eval_f(x) > f0_level:
             continue
-        kept += 1
-        st = flows.FlowState(0.0, x, v=v, gamma=gamma)
+        states.append(flows.FlowState(0.0, x, v=v, gamma=gamma, grad=grad))
+    return states, draws
+
+
+def reference_strong_check(flow, lyap, samples, seed, f0_level=None):
+    """The per-sample loop: one state drawn and checked at a time."""
+    params, oracle = lyap.strong_params, flow.oracle
+    states, draws = reference_states(flow, samples, seed, f0_level)
+    violations, min_slack, arg_min = 0, math.inf, None
+    for st in states:
         lval = evaluate(lyap, oracle, st)
         slack = (lyapunov.decay_rate(lyap, flow, st) - params.c(st) * lval ** params.q
                  - params.p_sq(st))
         if slack < min_slack:
-            min_slack, arg_min = slack, x.tolist()
+            min_slack, arg_min = slack, st.x.tolist()
         if not slack >= -calculus.SLACK_TOL * (1.0 + abs(lval) ** params.q):
             violations += 1
-    return {"samples": kept, "draws": draws, "min_slack": min_slack,
+    return {"samples": len(states), "draws": draws, "min_slack": min_slack,
             "violations": violations, "arg_min_x": arg_min}
-
-
-def reference_prox_draws(oracle, samples, seed):
-    """Per-draw prox points of the composite check: the box draw (with a
-    log-uniform radius when mu = 0, keeping only the f0 sublevel set),
-    mapped to y = w - s grad h(w), x = prox_g(y, s).  Returns the kept
-    (y, x) pairs and the draws."""
-    rng = box_rng(seed)
-    s = 1.0 / oracle.lip
-    points, draws = [], 0
-    while len(points) < samples and draws < 200 * samples:
-        radius = RADIUS if oracle.mu > 0 else 10.0 ** rng.uniform(-2.0, math.log10(RADIUS))
-        w = oracle.x_star + rng.uniform(-radius, radius, size=oracle.dim)
-        draws += 1
-        y = w - s * oracle.grad_h(w)
-        x = oracle.prox_g(y, s)
-        if oracle.mu == 0 and oracle.eval_f(x) > oracle.f0_level:
-            continue
-        points.append((y, x))
-    return points, draws
 
 
 def reference_composite_check(oracle, samples, seed, c=None):
     """The composite check as a per-sample loop on its own formula: with
-    d = grad h(x) + (y - x)/s, an element of the subdifferential at x, the
-    slack is |d|^2 - c L^q - |d|^2 / 2 for L = f - f*."""
+    d = grad h(x) + (y - x)/s, an element of the subdifferential at the
+    prox point x, the slack is |d|^2 - c L^q - |d|^2 / 2 for L = f - f*,
+    on the f0 sublevel set when mu = 0."""
     if oracle.mu > 0:
-        rate, q = oracle.mu, 1.0
+        rate, q, f0 = oracle.mu, 1.0, None
     else:
-        rate, q = 1.0 / (2.0 * oracle.radius_r0 ** 2), 2.0
+        rate, q, f0 = 1.0 / (2.0 * oracle.radius_r0 ** 2), 2.0, oracle.f0_level
     c = rate if c is None else c
-    s = 1.0 / oracle.lip
-    points, draws = reference_prox_draws(oracle, samples, seed)
+    states, draws = reference_states(flows.FlowModel("gradient", oracle), samples, seed, f0)
     violations, min_slack, arg_min = 0, math.inf, None
-    for y, x in points:
-        d = oracle.grad_h(x) + (y - x) / s
-        dsq = float(np.dot(d, d))
-        lval = oracle.eval_f(x) - oracle.f_star
+    for st in states:
+        dsq = float(np.dot(st.grad, st.grad))
+        lval = oracle.eval_f(st.x) - oracle.f_star
         slack = dsq - c * lval ** q - 0.5 * dsq
         if slack < min_slack:
-            min_slack, arg_min = slack, x.tolist()
+            min_slack, arg_min = slack, st.x.tolist()
         if not slack >= -calculus.SLACK_TOL * (1.0 + abs(lval) ** q):
             violations += 1
-    return {"samples": len(points), "draws": draws, "min_slack": min_slack,
+    return {"samples": len(states), "draws": draws, "min_slack": min_slack,
             "violations": violations, "arg_min_x": arg_min}
 
 QUAD = make_quadratic([1.0, 4.0], [1.0, -2.0])
@@ -218,7 +218,7 @@ class TestStrongConditionCheck:
             lyapunov.flow_pairing("verlet", make_quadratic([1.0], [0.0]))
 
     def test_composite_pairing_needs_composite(self):
-        with pytest.raises(LyapunovConfigError):
+        with pytest.raises(LyapunovConfigError, match="needs a composite objective"):
             lyapunov.composite_condition_check(QUAD, 10, 0)
 
     def test_convex_composite_pairing_needs_r0_and_f0(self):
@@ -228,20 +228,50 @@ class TestStrongConditionCheck:
         with pytest.raises(LyapunovConfigError, match="needs R0 and f0"):
             strong_condition_check(*lyapunov.pairing_composite_convex(o), 10, 0)
 
-    def test_prox_domain_refuses_smooth_objective(self):
-        with pytest.raises(LyapunovConfigError, match="does not fit"):
-            strong_condition_check(*lyapunov.pairing_composite_sc(QUAD), 10, 0)
+    @pytest.mark.parametrize("name, problem", [
+        ("composite_sc", QUAD),
+        ("composite_convex", make_logcosh(2.0, dim=2)),
+    ])
+    def test_composite_pairings_pass_on_smooth_objective(self, name, problem):
+        # on a smooth f the prox point is the box point and xi is grad f
+        report = strong_condition_check(*lyapunov._PAIRINGS[name](problem), 2000, 0)
+        assert report["pass"], report
+        assert report["samples"] == 2000
 
     @pytest.mark.parametrize("kind, problem", [
         *((kind, "_lasso_sc") for kind in flows.FLOWS),
-        ("gradient", "_lasso_convex"),
+        *((kind, "_lasso_convex") for kind in flows.FLOWS if kind != "heavy_ball"),
     ])
-    def test_box_states_refuse_composite_objective(self, kind, problem):
-        # box and sublevel states carry grad h alone, which drops g's subgradient
-        model, lyap = lyapunov.flow_pairing(kind, getattr(lyapunov, problem)())
-        assert lyap.domain in ("box", "sublevel")
-        with pytest.raises(LyapunovConfigError, match="does not fit"):
-            strong_condition_check(model, lyap, 10, 0)
+    def test_flow_pairings_pass_on_composite_objective(self, kind, problem):
+        # every flow moves on the subgradient xi that each prox point carries
+        report = strong_condition_check(
+            *lyapunov.flow_pairing(kind, getattr(lyapunov, problem)()), 2000, 0)
+        assert report["pass"], report
+        assert report["samples"] == 2000
+
+    @pytest.mark.parametrize("kind", ["scaled_gradient", "avd_r3", "hnag"])
+    def test_dropped_subgradient_fails(self, kind, monkeypatch):
+        # states that carry grad h(x) in place of xi drop g's subgradient
+        sample = lyapunov._sample_states
+
+        def grad_h_only(flow, *args):
+            for st, draws in sample(flow, *args):
+                st.grad = flow.oracle.grad_h(st.x)
+                yield st, draws
+
+        monkeypatch.setattr(lyapunov, "_sample_states", grad_h_only)
+        report = strong_condition_check(
+            *lyapunov.flow_pairing(kind, lyapunov._lasso_convex()), 10_000, 0)
+        assert not report["pass"]
+        assert report["violations"] > 5000
+
+    @pytest.mark.parametrize("problem", ["_lasso_sc", "_lasso_convex"])
+    def test_inflated_hnag_rate_fails_on_composite_objective(self, problem):
+        # c = 1 is tight on a LASSO: the slack is mu-strong convexity along xi
+        o = getattr(lyapunov, problem)()
+        report = strong_condition_check(*lyapunov.pairing_hnag(o, c_override=1.05), 10_000, 0)
+        assert not report["pass"]
+        assert report["violations"] >= 50
 
     def test_reference_problem_built_once(self, monkeypatch):
         # the pairing's LASSO is built on first use and shared by later calls
@@ -288,17 +318,16 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("block_values", [lyapunov._BLOCK_VALUES, 64])
     def test_log_uniform_radius_draws_match_per_draw_calls(self, block_values, monkeypatch):
+        # rows laid out [log-radius u | x | v | gamma] on a mu = 0 composite f
         monkeypatch.setattr(lyapunov, "_BLOCK_VALUES", block_values)
-        o = lyapunov._lasso_convex()
-        blocks = list(lyapunov._sample_prox_points(o, 400, 3))
-        ref, ref_draws = reference_prox_draws(o, 400, 3)
-        s = 1.0 / o.lip
+        model = flows.FlowModel("hnag", lyapunov._lasso_convex())
+        f0 = model.oracle.f0_level
+        blocks = list(lyapunov._sample_states(model, 400, 3, f0))
+        ref, ref_draws = reference_states(model, 400, 3, f0)
         assert blocks[-1][1] == ref_draws > 400
-        assert np.array_equal(np.concatenate([st.x for st, _ in blocks]),
-                              np.array([x for _, x in ref]))
-        # each state carries xi = grad h(x) + (y - x)/s
-        assert np.array_equal(np.concatenate([st.grad for st, _ in blocks]),
-                              np.array([o.grad_h(x) + (y - x) / s for y, x in ref]))
+        for block in ("x", "v", "gamma", "grad"):
+            assert np.array_equal(np.concatenate([getattr(st, block) for st, _ in blocks]),
+                                  np.array([getattr(st, block) for st in ref])), block
 
     @pytest.mark.parametrize("block_values", [lyapunov._BLOCK_VALUES, 64])
     @pytest.mark.parametrize("name", ["composite_sc", "composite_convex"])
@@ -319,11 +348,16 @@ class TestBatchedSampling:
             assert report[key] == ref[key], key
 
     @pytest.mark.parametrize("block_values", [lyapunov._BLOCK_VALUES, 64])
-    @pytest.mark.parametrize("name", ["hnag", "avd", "gf_convex"])
-    def test_pairing_report_matches_per_sample_loop(self, name, block_values, monkeypatch):
+    @pytest.mark.parametrize("name, problem", [
+        ("hnag", None), ("avd", None), ("gf_convex", None),
+        ("hnag", "_lasso_sc"), ("hnag", "_lasso_convex"),
+    ], ids=["hnag", "avd", "gf_convex", "hnag-lasso_sc", "hnag-lasso_convex"])
+    def test_pairing_report_matches_per_sample_loop(self, name, problem, block_values,
+                                                    monkeypatch):
         # 64 uniforms per block splits the draws over many blocks
         monkeypatch.setattr(lyapunov, "_BLOCK_VALUES", block_values)
-        model, lyap = getattr(lyapunov, "pairing_" + name)()
+        oracle = getattr(lyapunov, problem)() if problem else None
+        model, lyap = getattr(lyapunov, "pairing_" + name)(oracle)
         f0 = model.oracle.f0_level if lyap.domain == "sublevel" else None
         report = strong_condition_check(model, lyap, 500, 4)
         ref = reference_strong_check(model, lyap, 500, 4, f0)
