@@ -190,24 +190,25 @@ def cmd_rates(rule: str, r: float, mu_over_l: float, k_max: int,
     if k_max < 0:
         # an empty table would pass
         raise ConfigError("kmax must be >= 0")
+    if rule not in schedules.STEP_RULES:
+        # a bound with no step schedule measures nothing, so its table would pass
+        owner = {"b0": "apg", "b_half": "new_apg"}.get(rule)
+        hint = f"; the {rule} bound is the bound column of --rule {owner}" if owner else ""
+        raise ConfigError(f"rates needs a step rule, one of {', '.join(schedules.STEP_RULES)}; "
+                          f"got {rule!r}{hint}")
     lip = 1.0
     gamma0 = r * lip
     mu = mu_over_l * lip
+    _, _, measured = schedules.iterate_schedule(rule, gamma0, mu, lip, k_max)
     rows = []
     max_slack_violation = 0.0
     # a NaN or infinite cell fails the table (max() would drop a NaN excess)
     finite = True
-    measured = None
-    if rule in schedules.STEP_RULES:
-        _, _, measured = schedules.iterate_schedule(rule, gamma0, mu, lip, k_max)
     for k in range(k_max + 1):
         bound = schedules.rho_bound(rule, gamma0, mu, lip, k)
-        finite = finite and math.isfinite(bound)
-        meas = math.nan
-        if measured is not None:
-            meas = measured[k]
-            finite = finite and math.isfinite(meas)
-            max_slack_violation = max(max_slack_violation, meas - bound)
+        meas = measured[k]
+        finite = finite and math.isfinite(bound) and math.isfinite(meas)
+        max_slack_violation = max(max_slack_violation, meas - bound)
         rows.append((k, meas, bound))
     if out:
         write_csv(out, ("k", "rho_measured", "rho_bound"), rows)

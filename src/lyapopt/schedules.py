@@ -4,11 +4,12 @@ The scaling factor gamma follows the implicit-Euler recursion
 gamma_{k+1} = (gamma_k + alpha_k * mu) / (1 + alpha_k); each accelerated
 method couples it with its own step-size rule.  The contraction factor
 rho_k = prod 1/(1 + alpha_i) admits closed-form min{sublinear, linear}
-bounds, implemented here per rule.
+bounds, kept here as one rule table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -16,10 +17,6 @@ import numpy as np
 
 class ScheduleError(ValueError):
     """Invalid schedule parameters (nonpositive inputs, gamma0 < mu...)."""
-
-
-class UnsupportedParameterError(ScheduleError):
-    """Parameter range not covered by any closed-form bound (B in (0, 1/2))."""
 
 
 def gamma_step(gamma_k: float, alpha_k: float, mu: float) -> float:
@@ -102,64 +99,65 @@ def avd_alpha(gamma_k: float, lip: float) -> float:
     return (sg + math.sqrt(gamma_k + 4.0 * lip)) / (2.0 * lip)
 
 
-def _sublinear_b0(r: float, k: int) -> float:
+def _b0_c(r: float) -> float:
     # each step grows 1/sqrt(rho) by at least sqrt(r)/(1 + sqrt(1 + a))
     # with a <= sqrt(r); for r >= 1 the looser a <= r gives the same form
-    c = 1.0 + math.sqrt(1.0 + max(r, math.sqrt(r)))
-    return (c / (c + math.sqrt(r) * k)) ** 2
+    return 1.0 + math.sqrt(1.0 + max(r, math.sqrt(r)))
 
 
-def _sublinear_bhalf(r: float, k: int) -> float:
-    return (2.0 / (2.0 + math.sqrt(r) * k)) ** 2
+# rule -> (gamma0, lip, r, q) -> (c, sqrt r, linear base), with r = gamma0/L
+# and q = mu/L: rho_k <= min{(c / (c + sqrt(r) k))^2, base^-k}, and c is None
+# for a rule with the linear bound only.  The fast-gradient rule
+# a = sqrt(gamma/(4L)) is the B = 0 rule with L replaced by 4L, which
+# reproduces its stated bound exactly.
+_RATE_RULES = {
+    "b0": lambda g0, lip, r, q: (_b0_c(r), math.sqrt(r), 1.0 + math.sqrt(q)),
+    "b_half": lambda g0, lip, r, q: (2.0, math.sqrt(r), 1.0 + math.sqrt(q)),
+    "nag": lambda g0, lip, r, q: (math.sqrt(2.0), math.sqrt(r), 1.0 + math.sqrt(2.0 * q)),
+    "fast_grad": lambda g0, lip, r, q: (_b0_c(g0 / (4.0 * lip)), math.sqrt(g0 / (4.0 * lip)),
+                                        1.0 + math.sqrt(q / 4.0)),
+    "momentum": lambda g0, lip, r, q: (None, None, 1.0 + math.sqrt(q)),
+}
+_RATE_RULES["apg"] = _RATE_RULES["b0"]
+_RATE_RULES["new_apg"] = _RATE_RULES["b_half"]
 
 
-def _sublinear_nag(r: float, k: int) -> float:
-    s2 = math.sqrt(2.0)
-    return (s2 / (s2 + math.sqrt(r) * k)) ** 2
+@functools.lru_cache(maxsize=256, typed=True)
+def _rate_terms(rule: str, gamma0: float, mu: float, lip: float) -> tuple:
+    """rho_bound's k-independent terms: (c, sqrt r, linear base, NaN flag).
 
-
-def _linear(mu_over_l: float, k: int, factor: float = 1.0) -> float:
-    return (1.0 + math.sqrt(factor * mu_over_l)) ** (-k)
-
-
-def rho_bound(rule: str, gamma0: float, mu: float, lip: float, k: int) -> float:
-    """Closed-form min{sublinear, linear} bound on rho_k for the named rule.
-
-    Requires gamma0 = r * lip >= mu (hypothesis of the bounds).  The fast-gradient
-    rule a = sqrt(gamma/(4L)) is the B = 0 rule with L replaced by 4L, which
-    reproduces its stated bound exactly.
+    Cached per parameter set; typed, so an int argument is never answered
+    with the terms of its float twin.
     """
-    if gamma0 <= 0 or lip <= 0 or mu < 0 or k < 0:
+    if gamma0 <= 0 or lip <= 0 or mu < 0:
         raise ScheduleError("invalid rho_bound parameters")
     if gamma0 < mu:
         raise ScheduleError("accelerated bounds require gamma0 >= mu")
     r = gamma0 / lip
     q = mu / lip
-    if rule in ("b0", "apg"):
-        bound = min(_sublinear_b0(r, k), _linear(q, k))
-    elif rule in ("b_half", "new_apg"):
-        bound = min(_sublinear_bhalf(r, k), _linear(q, k))
-    elif rule == "nag":
-        bound = min(_sublinear_nag(r, k), _linear(q, k, factor=2.0))
-    elif rule == "fast_grad":
-        bound = min(_sublinear_b0(gamma0 / (4.0 * lip), k), _linear(q / 4.0, k))
-    elif rule == "momentum":
-        bound = _linear(q, k)
-    else:
+    terms = _RATE_RULES.get(rule)
+    if terms is None:
         raise ScheduleError(f"unknown rate rule: {rule!r}")
+    return (*terms(gamma0, lip, r, q), math.isnan(r) or math.isnan(q))
+
+
+def rho_bound(rule: str, gamma0: float, mu: float, lip: float, k: int) -> float:
+    """Closed-form min{sublinear, linear} bound on rho_k for the named rule.
+
+    Requires gamma0 = r * lip >= mu (hypothesis of the bounds).
+    """
+    if k < 0:
+        raise ScheduleError("invalid rho_bound parameters")
+    c, sr, base, nan = _rate_terms(rule, gamma0, mu, lip)
+    if c is None:
+        bound = base ** (-k)
+    else:
+        sublinear, linear = (c / (c + sr * k)) ** 2, base ** (-k)
+        # min(sublinear, linear) spelled out: the builtin's call costs more
+        # than the arithmetic
+        bound = linear if linear < sublinear else sublinear
     # min() drops a NaN term, so a NaN parameter would give a finite bound
-    return math.nan if math.isnan(r) or math.isnan(q) else bound
-
-
-def rho_bound_for_b(b_coef: float, gamma0: float, mu: float, lip: float, k: int) -> float:
-    """Generic-B bound; only B = 0 and B >= 1/2 are covered by the theory."""
-    if b_coef == 0.0:
-        return rho_bound("b0", gamma0, mu, lip, k)
-    if b_coef >= 0.5:
-        return rho_bound("b_half", gamma0, mu, lip, k)
-    raise UnsupportedParameterError(
-        "no closed-form rho bound is proved for B in (0, 1/2)"
-    )
+    return math.nan if nan else bound
 
 
 def avd_gamma_bound(r: float, k: int) -> float:

@@ -529,13 +529,19 @@ def _method(kind: str) -> Method:
 
 
 def init_state(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None) -> SolverState:
-    """The start state of kind: x0 and the method's state blocks."""
+    """The start state of kind: x0 and the method's state blocks.
+
+    A gamma0 that is not positive, for a kind with a gamma block, raises
+    UnsupportedSolverError: every step rule and bound needs gamma > 0.
+    """
     blocks = _method(kind).blocks
     state = SolverState(k=0, x=_vec(x0))
     if "v" in blocks:
         state.v = state.x.copy() if v0 is None else _vec(v0)
     if "gamma" in blocks:
         state.gamma = float(oracle.lip) if gamma0 is None else float(gamma0)
+        if not state.gamma > 0:
+            raise UnsupportedSolverError(f"{kind} needs gamma0 > 0, got {gamma0!r}")
     if "y" in blocks:
         state.grad = oracle.grad_h(state.x)
         state.y = state.x - state.grad / oracle.lip
@@ -594,7 +600,8 @@ def run(oracle: ProblemOracle, kind: str, x0, v0=None, gamma0=None,
     step that raises ends the run with its exception unless a row before it
     stops the run.  A run outside its kind's premises (Method.in_range) is
     uncertified and records no slack and no bound.  An alpha that is not
-    positive raises UnsupportedSolverError.
+    positive raises UnsupportedSolverError, as does a gamma0 that is not
+    positive for a kind with a gamma block.
     """
     method = _method(kind)
     if method.smooth and oracle.is_composite:

@@ -239,8 +239,9 @@ class TestVerifyCommand:
 
 class TestRatesCommand:
     def test_b0_table(self, tmp_path, capsys):
+        # apg's bound column is the B = 0 bound
         out = str(tmp_path / "rates.csv")
-        code = main(["rates", "--rule", "b0", "--r", "1.0",
+        code = main(["rates", "--rule", "apg", "--r", "1.0",
                      "--mu-over-l", "0.0", "--kmax", "50", "--out", out])
         assert code == 0
         with open(out) as fh:
@@ -271,8 +272,8 @@ class TestRatesCommand:
 
     @pytest.mark.parametrize("args", [
         ["--rule", "nag", "--r", "nan", "--mu-over-l", "0"],
-        ["--rule", "b0", "--r", "1", "--mu-over-l", "nan"],
-    ], ids=["nag-r-nan", "b0-mu-nan"])
+        ["--rule", "apg", "--r", "1", "--mu-over-l", "nan"],
+    ], ids=["nag-r-nan", "apg-mu-nan"])
     def test_nan_table_fails_with_strict_json(self, tmp_path, capsys, args):
         # each printed "pass": true and exited 0: max() dropped the NaN excess
         out = str(tmp_path / "rates.csv")
@@ -280,17 +281,31 @@ class TestRatesCommand:
         report = strict_json(capsys.readouterr().out)
         assert code == 1 and report["pass"] is False and report["max_violation"] is None
 
+    @pytest.mark.parametrize("rule, owner", [("b0", "apg"), ("b_half", "new_apg"),
+                                             ("momentum", None)])
+    def test_bound_only_rule_exit_2(self, tmp_path, capsys, rule, owner):
+        # a bound with no step schedule measured nothing, yet printed
+        # "pass": true and exited 0
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--rule", rule, "--r", "1.0", "--mu-over-l", "0.01",
+                     "--kmax", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "step rule" in captured.err
+        if owner:
+            assert f"--rule {owner}" in captured.err
+
     def test_unknown_rule_exit_2(self):
         assert main(["rates", "--rule", "cubic", "--r", "1.0",
                      "--mu-over-l", "0.0", "--kmax", "5"]) == 2
 
     def test_gamma0_below_mu_exit_2(self):
-        assert main(["rates", "--rule", "b0", "--r", "0.5",
+        assert main(["rates", "--rule", "apg", "--r", "0.5",
                      "--mu-over-l", "1.0", "--kmax", "5"]) == 2
 
-    @pytest.mark.parametrize("rule", ["b0", "nag"])
+    @pytest.mark.parametrize("rule", ["apg", "nag"])
     def test_negative_kmax_exit_2(self, rule, capsys):
-        # b0 printed a passing empty table; nag raised from numpy
+        # a bound-only rule printed a passing empty table; nag raised from numpy
         assert main(["rates", "--rule", rule, "--r", "1.0",
                      "--mu-over-l", "0.0", "--kmax", "-1"]) == 2
         assert "kmax" in capsys.readouterr().err
@@ -299,13 +314,13 @@ class TestRatesCommand:
 class TestLogging:
     def test_invalid_level_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("OPT_LOG_LEVEL", "verbose")
-        assert main(["rates", "--rule", "b0", "--r", "1.0",
+        assert main(["rates", "--rule", "apg", "--r", "1.0",
                      "--mu-over-l", "0.0", "--kmax", "5"]) == 2
         assert "OPT_LOG_LEVEL" in capsys.readouterr().err
 
     def test_quiet_level_accepted(self, monkeypatch):
         monkeypatch.setenv("OPT_LOG_LEVEL", "quiet")
-        assert main(["rates", "--rule", "b0", "--r", "1.0",
+        assert main(["rates", "--rule", "apg", "--r", "1.0",
                      "--mu-over-l", "0.0", "--kmax", "5"]) == 0
 
 
@@ -437,6 +452,21 @@ class TestBadRunConfig:
         assert next(iter(change)) in captured.err
 
 
+@pytest.mark.parametrize("kind", [kind for kind, method in solvers.METHODS.items()
+                                  if "gamma" in method.blocks])
+@pytest.mark.parametrize("gamma0", [-1, 0])
+def test_nonpositive_gamma0_exit_2(tmp_path, capsys, kind, gamma0):
+    # gamma0 = -1 exited 1 on a math domain error for nag, apg, apg_fast_grad
+    # and avd_grad, the code of a failed certificate; nag ran at gamma0 = 0
+    out = tmp_path / "trace.csv"
+    cfg = {"problem": QUAD_PROBLEM, "solver": kind, "iters": 10, "gamma0": gamma0,
+           "out": str(out)}
+    assert main(["run", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "gamma0 > 0" in captured.err
+
+
 MALFORMED_PROBLEMS = {
     "quadratic-no-eigs": {"kind": "quadratic", "b": [1.0, -2.0]},
     "lasso-no-rho": {k: v for k, v in LASSO_PROBLEM.items() if k != "rho"},
@@ -545,11 +575,11 @@ class TestTraceWriter:
             self.check(tmp_path, ("t", "lyapunov", "bound", "x_norm_err", "gamma"), rows)
 
     def test_rates_rows(self, tmp_path, capsys):
-        for rule in ("nag", "b0"):
+        for rule in ("nag", "apg"):
             out = tmp_path / f"{rule}.csv"
             assert main(["rates", "--rule", rule, "--r", "1.0", "--mu-over-l", "0.01",
                          "--kmax", "30", "--out", str(out)]) == 0
-            _, _, rhos = harness.schedules.iterate_schedule("nag", 1.0, 0.01, 1.0, 30)
-            rows = [(k, rhos[k] if rule == "nag" else math.nan,
-                     harness.schedules.rho_bound(rule, 1.0, 0.01, 1.0, k)) for k in range(31)]
+            _, _, rhos = harness.schedules.iterate_schedule(rule, 1.0, 0.01, 1.0, 30)
+            rows = [(k, rhos[k], harness.schedules.rho_bound(rule, 1.0, 0.01, 1.0, k))
+                    for k in range(31)]
             assert out.read_bytes() == csv_reference(("k", "rho_measured", "rho_bound"), rows)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from lyapopt import schedules
 from lyapopt.schedules import (
     ScheduleError,
-    UnsupportedParameterError,
     avd_alpha,
     avd_gamma_bound,
     gamma_closed_form,
@@ -15,7 +14,6 @@ from lyapopt.schedules import (
     iterate_schedule,
     momentum_alpha,
     rho_bound,
-    rho_bound_for_b,
     solve_alpha_quadratic,
 )
 
@@ -167,12 +165,6 @@ class TestRhoBounds:
             _, gammas, rhos = iterate_schedule(rule, 2.0, 0.3, 2.0, 100)
             assert np.all(rhos <= gammas / gammas[0] + 1e-12)
 
-    def test_b_between_zero_and_half_rejected(self):
-        with pytest.raises(UnsupportedParameterError):
-            rho_bound_for_b(0.25, 1.0, 0.0, 1.0, 10)
-        assert rho_bound_for_b(0.0, 1.0, 0.0, 1.0, 5) == rho_bound("b0", 1.0, 0.0, 1.0, 5)
-        assert rho_bound_for_b(0.7, 1.0, 0.0, 1.0, 5) == rho_bound("b_half", 1.0, 0.0, 1.0, 5)
-
     def test_gamma0_below_mu_rejected(self):
         with pytest.raises(ScheduleError):
             rho_bound("b0", 0.5, 1.0, 1.0, 3)
@@ -190,6 +182,108 @@ class TestRhoBounds:
                     a = rho_bound("fast_grad", r * 1.0, q, 1.0, k)
                     b = rho_bound("b0", r * 1.0, q, 4.0, k)
                     assert a == pytest.approx(b, rel=1e-12)
+
+
+# The per-rule bound formulas, one helper each and evaluated afresh at
+# every k: the reference rho_bound's rule table must match bit for bit.
+def _ref_sublinear_b0(r, k):
+    c = 1.0 + math.sqrt(1.0 + max(r, math.sqrt(r)))
+    return (c / (c + math.sqrt(r) * k)) ** 2
+
+
+def _ref_sublinear_bhalf(r, k):
+    return (2.0 / (2.0 + math.sqrt(r) * k)) ** 2
+
+
+def _ref_sublinear_nag(r, k):
+    s2 = math.sqrt(2.0)
+    return (s2 / (s2 + math.sqrt(r) * k)) ** 2
+
+
+def _ref_linear(mu_over_l, k, factor=1.0):
+    return (1.0 + math.sqrt(factor * mu_over_l)) ** (-k)
+
+
+def reference_rho_bound(rule, gamma0, mu, lip, k):
+    if gamma0 <= 0 or lip <= 0 or mu < 0 or k < 0:
+        raise ScheduleError("invalid rho_bound parameters")
+    if gamma0 < mu:
+        raise ScheduleError("accelerated bounds require gamma0 >= mu")
+    r = gamma0 / lip
+    q = mu / lip
+    if rule in ("b0", "apg"):
+        bound = min(_ref_sublinear_b0(r, k), _ref_linear(q, k))
+    elif rule in ("b_half", "new_apg"):
+        bound = min(_ref_sublinear_bhalf(r, k), _ref_linear(q, k))
+    elif rule == "nag":
+        bound = min(_ref_sublinear_nag(r, k), _ref_linear(q, k, factor=2.0))
+    elif rule == "fast_grad":
+        bound = min(_ref_sublinear_b0(gamma0 / (4.0 * lip), k), _ref_linear(q / 4.0, k))
+    elif rule == "momentum":
+        bound = _ref_linear(q, k)
+    else:
+        raise ScheduleError(f"unknown rate rule: {rule!r}")
+    return math.nan if math.isnan(r) or math.isnan(q) else bound
+
+
+def same_float(a, b):
+    """a and b are the same float: equal with the same sign, or both NaN."""
+    if type(a) is not float or type(b) is not float:
+        return False
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+RATE_RULES = ("b0", "apg", "b_half", "new_apg", "nag", "fast_grad", "momentum")
+PIN_KS = [*range(61), 999, 1000, 10**6]
+
+
+def pin_parameters():
+    """(gamma0, mu, lip) over the pinned grid of r, mu/L and L, then NaN r,
+    NaN mu/L, mu = -0.0 and int arguments."""
+    params = [(r * lip, q * lip, lip) for r in (0.25, 1.0, 4.0, 3.7)
+              for q in (0.0, 1e-3, 0.2) for lip in (1.0, 2.5)]
+    params += [(math.nan, 0.0, 1.0), (math.nan, 1e-3, 2.5), (1.0, math.nan, 1.0),
+               (4.0, math.nan, 2.5), (1.0, -0.0, 1.0), (3.7, -0.0, 2.5),
+               (1, 0, 1), (4, 0, 1), (5, 1, 2), (1, 0.2, 1), (10, 0, 3)]
+    return params
+
+
+class TestRhoBoundPinned:
+    @pytest.mark.parametrize("rule", RATE_RULES)
+    def test_matches_reference_bit_for_bit(self, rule):
+        for gamma0, mu, lip in pin_parameters():
+            for k in PIN_KS:
+                got = rho_bound(rule, gamma0, mu, lip, k)
+                want = reference_rho_bound(rule, gamma0, mu, lip, k)
+                assert same_float(got, want), (rule, gamma0, mu, lip, k, got, want)
+
+    @pytest.mark.parametrize("rule", RATE_RULES)
+    def test_argument_types_kept_apart(self, rule):
+        # the terms are cached per parameter set: a float32 or int argument
+        # equal to a float one must still be computed as given
+        for args in [(1.0, 0.0, 3.0), (np.float32(1.0), np.float32(0.0), np.float32(3.0)),
+                     (1, 0, 3), (2**60, 0, 3), (2.0**60, 0.0, 3.0)]:
+            for k in (0, 1, 7, 1000):
+                assert same_float(rho_bound(rule, *args, k),
+                                  reference_rho_bound(rule, *args, k)), (args, k)
+
+    @pytest.mark.parametrize("args, message", [
+        # k < 0 comes first, then the other parameters, then gamma0 >= mu,
+        # then the rule name
+        (("bogus", 0.5, 1.0, 1.0, -1), "invalid rho_bound parameters"),
+        (("bogus", 0.5, 1.0, -1.0, 3), "invalid rho_bound parameters"),
+        (("bogus", 0.0, 1.0, 1.0, 3), "invalid rho_bound parameters"),
+        (("bogus", 1.0, -1.0, 1.0, 3), "invalid rho_bound parameters"),
+        (("bogus", 0.5, 1.0, 1.0, 3), "require gamma0 >= mu"),
+        (("bogus", 1.0, 0.0, 1.0, 3), "unknown rate rule"),
+    ])
+    def test_refusal_order(self, args, message):
+        with pytest.raises(ScheduleError, match=message):
+            rho_bound(*args)
+        with pytest.raises(ScheduleError, match=message):
+            reference_rho_bound(*args)
 
 
 class TestAvdGammaBound:

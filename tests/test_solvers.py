@@ -410,6 +410,17 @@ class TestFailClosed:
         with pytest.raises(UnsupportedSolverError, match="alpha must be positive"):
             run(QUAD, kind, [4.0, -3.0], iters=10, alpha=alpha)
 
+    @pytest.mark.parametrize("kind", [kind for kind, method in solvers.METHODS.items()
+                                      if "gamma" in method.blocks])
+    @pytest.mark.parametrize("gamma0", [-1.0, 0.0, -0.0, math.nan])
+    def test_nonpositive_gamma0_rejected(self, kind, gamma0):
+        # at gamma0 = -1 nag, apg, apg_fast_grad and avd_grad raised a math
+        # domain error; at gamma0 = 0 nag ran
+        with pytest.raises(UnsupportedSolverError, match="gamma0 > 0"):
+            run(QUAD, kind, [4.0, -3.0], gamma0=gamma0, iters=10)
+        with pytest.raises(UnsupportedSolverError, match="gamma0 > 0"):
+            init_state(QUAD, kind, [4.0, -3.0], gamma0=gamma0)
+
     def test_nan_slack_is_a_violation(self, monkeypatch):
         monkeypatch.setitem(solvers.METHODS, "gd",
                             solvers.METHODS["gd"]._replace(
