@@ -16,7 +16,6 @@ from .problems import (
     make_logcosh,
     make_quadratic,
     problem_from_json,
-    subgradient_residual,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "make_lasso",
     "make_logcosh",
     "problem_from_json",
-    "subgradient_residual",
 ]

@@ -148,34 +148,3 @@ def check_minimum_bounds(oracle: ProblemOracle, samples: int, seed: int) -> dict
 def total_violations(report: dict) -> int:
     return sum(entry["violations"] for entry in report.values())
 
-
-def three_point_bound(oracle: ProblemOracle, x_k, y, x_next) -> float:
-    """Upper bound on f(x_next) - f(x_k) through an intermediate point y.
-
-    Combines the descent upper bound at y with the stronger of the two
-    lower bounds between y and x_k.
-    """
-    x_k = np.asarray(x_k, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    gy = oracle.grad_h(y)
-    gk = oracle.grad_h(x_k)
-    lip, mu = oracle.lip, oracle.mu
-    return (
-        float(np.dot(gy, x_next - x_k))
-        + 0.5 * lip * float(np.sum((x_next - y) ** 2))
-        - max(
-            0.5 * mu * float(np.sum((y - x_k) ** 2)),
-            float(np.sum((gy - gk) ** 2)) / (2.0 * lip),
-        )
-    )
-
-
-def bregman_by_quadrature(oracle: ProblemOracle, y, x, panels: int = 10_000) -> float:
-    """Midpoint quadrature of the line-integral identity for D_h(y, x)."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    gx = oracle.grad_h(x)
-    xi = (np.arange(panels) + 0.5) / panels
-    points = x + xi[:, None] * (y - x)
-    return float(np.sum(rowdot(oracle.grad_h(points) - gx, y - x))) / panels

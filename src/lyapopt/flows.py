@@ -4,8 +4,8 @@ Each model is a first-order vector field in the blocks (x, v, gamma):
 plain gradient flow, gradient flow rescaled by a time-scaling factor
 obeying gamma' = mu - gamma, the heavy-ball system, the vanishing-damping
 second-order system in its first-order form, and the gradient-corrected
-accelerated flow with an extra -beta grad f damping term; each kind is one
-entry of FLOWS.  An RK4 integrator produces reference trajectories from
+accelerated flow with an extra -(1/L) grad f damping term; each kind is
+one entry of FLOWS.  An RK4 integrator produces reference trajectories from
 start_state on each kind's time grid, and a decay checker confirms the
 Lyapunov bounds along them within a step-doubling error budget.
 """
@@ -60,11 +60,11 @@ FLOW_KINDS = tuple(FLOWS)
 
 class DivergenceError(RuntimeError):
     """Integration produced NaN/Inf; carries the finite part of the
-    trajectory (state0 included) and its last state."""
+    trajectory (state0 included), whose last row is the last finite state."""
 
-    def __init__(self, message: str, trajectory: "FlowState", last_state: "FlowState"):
+    def __init__(self, message: str, trajectory: "FlowState"):
         super().__init__(message)
-        self.trajectory, self.last_state = trajectory, last_state
+        self.trajectory = trajectory
 
 
 @dataclass
@@ -96,7 +96,6 @@ class FlowState:
 class FlowModel:
     kind: str
     oracle: ProblemOracle
-    beta_fn: Callable[[float], float] = dc_field(default=None)  # type: ignore
     # the field, built once per model by _field_fn
     rhs: Callable = dc_field(init=False, repr=False, compare=False)
 
@@ -105,9 +104,6 @@ class FlowModel:
             raise FlowError(f"unknown flow kind: {self.kind!r}")
         if FLOWS[self.kind].needs_mu and self.oracle.mu <= 0:
             raise FlowError(f"{self.kind} flow requires mu > 0")
-        if self.beta_fn is None:
-            lip = self.oracle.lip
-            object.__setattr__(self, "beta_fn", lambda t: 1.0 / lip)
         object.__setattr__(self, "rhs", _field_fn(self))
 
     @property
@@ -137,44 +133,46 @@ def _sqrt(a):
 
 
 def _field_fn(model: FlowModel):
-    """The field of model's kind as rhs(t, x, v, gamma, g, dx, dv) -> gamma'.
+    """The field of model's kind as rhs(x, v, gamma, g, dx, dv) -> gamma'.
 
     rhs moves on g, the (sub)gradient of f at x, writes x' into dx and v'
     into dv (None for a kind without v) and returns gamma', 0.0 for a kind
-    without gamma.  t and gamma are floats, or columns of shape (..., 1).
+    without gamma.  gamma is a float, or a column of shape (..., 1).  No
+    kind's field depends on t: hnag's gradient correction has the constant
+    weight beta = 1/L.
 
     A quotient -g / s is taken as g / -s, which saves negating the array:
     IEEE division is symmetric in sign, so the two agree bit for bit on
     every value but the sign of a NaN.
     """
-    mu, beta_fn = model.oracle.mu, model.beta_fn
+    mu, beta = model.oracle.mu, 1.0 / model.oracle.lip
     kind = model.kind
 
     if kind == "gradient":
-        def rhs(t, x, v, gamma, g, dx, dv):
+        def rhs(x, v, gamma, g, dx, dv):
             np.negative(g, out=dx)
             return 0.0
     elif kind == "scaled_gradient":
-        def rhs(t, x, v, gamma, g, dx, dv):
+        def rhs(x, v, gamma, g, dx, dv):
             np.divide(g, -gamma, out=dx)
             return mu - gamma
     elif kind == "heavy_ball":
-        def rhs(t, x, v, gamma, g, dx, dv):
+        def rhs(x, v, gamma, g, dx, dv):
             np.subtract(v, x, out=dx)
             np.subtract(x, v, out=dv)
             dv -= g / mu
             return 0.0
     elif kind == "avd_r3":
-        def rhs(t, x, v, gamma, g, dx, dv):
+        def rhs(x, v, gamma, g, dx, dv):
             sg = _sqrt(gamma)
             np.subtract(v, x, out=dx)
             dx *= sg
             np.divide(g, -sg, out=dv)
             return -gamma * sg
     else:
-        def rhs(t, x, v, gamma, g, dx, dv):
+        def rhs(x, v, gamma, g, dx, dv):
             np.subtract(v, x, out=dx)
-            dx -= beta_fn(t) * g
+            dx -= beta * g
             np.subtract(x, v, out=dv)
             dv *= mu / gamma
             dv -= g / gamma
@@ -214,8 +212,8 @@ def field(model: FlowModel, state: FlowState) -> FlowState:
     x = np.asarray(state.x, dtype=float)
     dx = np.empty_like(x)
     dv = np.empty_like(x) if model.has_v else None
-    dgamma = model.rhs(_column(state.t), x, state.v, _column(state.gamma),
-                       state_grad(model.oracle, state), dx, dv)
+    dgamma = model.rhs(x, state.v, _column(state.gamma), state_grad(model.oracle, state),
+                       dx, dv)
     return _raw_state(1.0, dx, dv, unbox(dgamma[..., 0]) if model.has_gamma else None)
 
 
@@ -224,15 +222,12 @@ def _column(a):
 
 
 def _unpack(model: FlowModel, t, y: np.ndarray) -> FlowState:
-    """A state from rows laid out [x | v | gamma] (the gamma column is
-    there for every kind): a vector gives a single state, a (k, m) array a
-    batch."""
+    """A batched state from the (k, m) rows laid out [x | v | gamma] (the
+    gamma column is there for every kind)."""
     n = model.oracle.dim
-    v = y[..., n:2 * n] if model.has_v else None
-    gamma = y[..., -1] if model.has_gamma else None
-    if y.ndim == 1 and gamma is not None:
-        gamma = float(gamma)
-    return _raw_state(t, y[..., :n], v, gamma)
+    v = y[:, n:2 * n] if model.has_v else None
+    gamma = y[:, -1] if model.has_gamma else None
+    return _raw_state(t, y[:, :n], v, gamma)
 
 
 def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> FlowState:
@@ -302,20 +297,19 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
         [(row, *blocks(row)) for row in k]
     for start in range(0, n_steps, FINITE_CHECK_STEPS):
         stop = min(start + FINITE_CHECK_STEPS, n_steps)
-        for i, t, h in zip(range(start + 1, stop + 1), times[start:stop].tolist(),
-                           steps[start:stop].tolist()):
+        for i, h in zip(range(start + 1, stop + 1), steps[start:stop].tolist()):
             half, sixth = 0.5 * h, h / 6.0
             h_[()], half_[()], sixth_[()] = h, half, sixth
-            g1 = rhs(t, yx, yv, gamma, grad_h(yx), k1x, k1v)
+            g1 = rhs(yx, yv, gamma, grad_h(yx), k1x, k1v)
             np.multiply(k1, half_, out=stage)
             stage += y_xv
-            g2 = rhs(t + half, sx, sv, gamma + half * g1, grad_h(sx), k2x, k2v)
+            g2 = rhs(sx, sv, gamma + half * g1, grad_h(sx), k2x, k2v)
             np.multiply(k2, half_, out=stage)
             stage += y_xv
-            g3 = rhs(t + half, sx, sv, gamma + half * g2, grad_h(sx), k3x, k3v)
+            g3 = rhs(sx, sv, gamma + half * g2, grad_h(sx), k3x, k3v)
             np.multiply(k3, h_, out=stage)
             stage += y_xv
-            g4 = rhs(t + h, sx, sv, gamma + h * g3, grad_h(sx), k4x, k4v)
+            g4 = rhs(sx, sv, gamma + h * g3, grad_h(sx), k4x, k4v)
             # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right as written
             k_mid *= 2.0
             np.add.reduce(k, axis=0, out=k_sum)
@@ -328,8 +322,7 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
         if not np.isfinite(block).all():
             row = start + 1 + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
             raise DivergenceError(f"integration diverged at t={times[row]:.6g}",
-                                  _unpack(model, times[:row], traj[:row]),
-                                  _unpack(model, float(times[row - 1]), traj[row - 1].copy()))
+                                  _unpack(model, times[:row], traj[:row]))
     return _unpack(model, times, traj)
 
 

@@ -115,9 +115,24 @@ def _vector(config: dict, key: str, dim: int):
     return vec
 
 
+def _unread_keys(config: dict) -> list:
+    """The keys of config that its solver kind never reads: alpha for a kind
+    whose step rule sets alpha, v0 or gamma0 for a kind without that block."""
+    method = solvers.METHODS.get(config["solver"])
+    if method is None:
+        return []
+    reads = {"alpha": method.takes_alpha, "v0": "v" in method.blocks,
+             "gamma0": "gamma" in method.blocks}
+    return [key for key, read in reads.items() if key in config and not read]
+
+
 def cmd_run(config: dict) -> dict:
-    oracle = problem_from_json(config["problem"])
     kind = config["solver"]
+    unread = _unread_keys(config)
+    if unread:
+        # the run would ignore them, and its trace would match the default run
+        raise ConfigError(f"solver {kind} never reads {', '.join(unread)}")
+    oracle = problem_from_json(config["problem"])
     x0 = _vector(config, "x0", oracle.dim)
     if x0 is None:
         x0 = oracle.x0_ref if oracle.x0_ref is not None else np.ones(oracle.dim)
@@ -174,14 +189,6 @@ def cmd_flow(model_name: str, problem_doc: dict, t_end: float, dt: float,
         write_csv(out, ("t", "lyapunov", "bound", "x_norm_err", "gamma"), report["rows"])
         log.info("trajectory written to %s", out)
     log.info("flow %s: %s", model_name, "PASS" if report["pass"] else "FAIL")
-    return report
-
-
-def cmd_verify_lyapunov(pairing: str, samples: int, seed: int,
-                        c_override=None) -> dict:
-    report = lyapunov.verify_pairing(pairing, samples, seed, c_override)
-    log.info("verify %s: min slack %.3e, %s", pairing, report["min_slack"],
-             "PASS" if report["pass"] else "FAIL")
     return report
 
 
@@ -298,8 +305,10 @@ def main(argv=None) -> int:
             _print_json(printable)
             return 0 if report["pass"] else 1
         if args.command == "verify-lyapunov":
-            report = cmd_verify_lyapunov(args.pairing, args.samples, args.seed,
-                                         args.c_override)
+            report = lyapunov.verify_pairing(args.pairing, args.samples, args.seed,
+                                             args.c_override)
+            log.info("verify %s: min slack %.3e, %s", args.pairing, report["min_slack"],
+                     "PASS" if report["pass"] else "FAIL")
             _print_json(report)
             return 0 if report["pass"] else 1
         report = cmd_rates(args.rule, args.r, args.mu_over_l, args.kmax, args.out)

@@ -4,8 +4,7 @@ strong-condition verifier.
 A Lyapunov function here is a nonnegative function of the flow state that
 vanishes at the equilibrium; every kind is one entry of FORMS, which the
 solvers' run loop reads too.  The verifier samples states and checks the
-decay inequality -grad(L) . G >= c L^q + p^2 pointwise; the sequence-decay
-theorems convert per-step contraction inequalities into rate bounds.
+decay inequality -grad(L) . G >= c L^q + p^2 pointwise.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import flows
-from .calculus import SAMPLING_RADIUS, SLACK_TOL, TABLE_TOL, sampled_verdict
+from .calculus import SAMPLING_RADIUS, SLACK_TOL, sampled_verdict
 from .problems import (ProblemOracle, box_rng, make_lasso, make_logcosh, make_quadratic,
                        rowdot, unbox)
 
@@ -125,12 +124,15 @@ def decay_rate(lyap: LyapunovSpec, model: flows.FlowModel, state: flows.FlowStat
 _BLOCK_VALUES = 1 << 13
 
 
-def _report(blocks, samples: int) -> dict:
+def _report(blocks, samples: int, seed: int) -> dict:
     """The verdict over (slack, tol, points, draws) blocks: the worst slack
     and its first point, as sampled_verdict gives them over all samples.
-    No samples certify nothing, so samples < 1 raises."""
+    No samples certify nothing, so samples < 1 raises, as does a negative
+    seed, which no generator takes."""
     if samples < 1:
         raise LyapunovConfigError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise LyapunovConfigError(f"seed must be >= 0, got {seed}")
     n = violations = draws = 0
     worst, arg_min = math.inf, None
     for slack, tol, points, draws in blocks:
@@ -242,7 +244,7 @@ def strong_condition_check(flow: flows.FlowModel, lyap: LyapunovSpec,
             slack = decay_rate(lyap, flow, st) - params.c(st) * lval ** params.q - params.p_sq(st)
             yield slack, SLACK_TOL * (1.0 + np.abs(lval) ** params.q), st.x, draws
 
-    return _report(blocks(), samples)
+    return _report(blocks(), samples, seed)
 
 
 def composite_condition_check(oracle: ProblemOracle, samples: int, seed: int,
@@ -306,10 +308,10 @@ pairing_hb = _pairing("heavy_ball", "hb", lambda m, st: 1.0, _spread)
 # Vanishing damping: c = sqrt(gamma), q = 1, p = 0.
 pairing_avd = _pairing("avd_r3", "avd_nag", lambda m, st: np.sqrt(st.gamma),
                        lambda m, st: 0.0)
-# Gradient-corrected accelerated flow: c = 1, q = 1,
+# Gradient-corrected accelerated flow, beta = 1/L: c = 1, q = 1,
 # p^2 = beta |grad f|^2 + mu/2 |x - v|^2.
 pairing_hnag = _pairing("hnag", "avd_nag", lambda m, st: 1.0,
-                        lambda m, st: m.beta_fn(st.t) * _grad_sq(m, st) + _spread(m, st))
+                        lambda m, st: (1.0 / m.oracle.lip) * _grad_sq(m, st) + _spread(m, st))
 
 
 @functools.cache
@@ -371,85 +373,3 @@ def verify_pairing(name: str, samples: int, seed: int,
     report["pairing"] = name
     return report
 
-
-# ---------------------------------------------------------------------------
-# Discrete sequence-decay theorems.
-# ---------------------------------------------------------------------------
-
-class SequenceParameterError(ValueError):
-    pass
-
-
-def sequence_decay(case: int, a0: float, alphas, k: int) -> float:
-    """Bound value at index k for the four decay cases.
-
-    Cases 1 and 2 take a sequence of step factors (only the first k are
-    used); cases 3 and 4 take a single scalar alpha.
-    """
-    if a0 < 0 or k < 0:
-        raise SequenceParameterError("need a0 >= 0, k >= 0")
-    if case in (1, 2):
-        arr = np.asarray(alphas, dtype=float)[:k]
-        if case == 1:
-            if np.any(arr < 0) or np.any(arr >= 1):
-                raise SequenceParameterError("case 1 needs alpha_k in [0, 1)")
-            return float(a0 * np.prod(1.0 - arr))
-        if np.any(arr < 0):
-            raise SequenceParameterError("case 2 needs alpha_k >= 0")
-        return float(a0 * np.prod(1.0 / (1.0 + arr)))
-    alpha = float(alphas)
-    if alpha < 0:
-        raise SequenceParameterError("cases 3/4 need alpha >= 0")
-    if case == 3:
-        return a0 / (1.0 + alpha * a0 * k)
-    if case == 4:
-        delta = alpha * a0 / (1.0 + alpha * a0)
-        return (1.0 + delta) * a0 / (1.0 + alpha * a0 * k)
-    raise SequenceParameterError(f"unknown case: {case}")
-
-
-def _extremal_step(case: int, a: np.ndarray, alpha) -> np.ndarray:
-    if case == 1:
-        return a * (1.0 - alpha)
-    if case == 2:
-        return a / (1.0 + alpha)
-    if case == 3:
-        return a - alpha * a * a
-    # case 4: A' = A - alpha A'^2, positive root
-    return (-1.0 + np.sqrt(1.0 + 4.0 * alpha * a)) / (2.0 * alpha)
-
-
-def sequence_decay_oracle(case: int, a0: float, alpha: float, k_max: int,
-                          n_random: int = 100, seed: int = 0) -> dict:
-    """Brute-force check that the decay bound dominates admissible sequences.
-
-    Runs the extremal recursion (equality, p = 0) alongside n_random
-    sequences with random extra dissipation p_k^2 >= 0, and reports the
-    largest ratio sequence/bound seen over k <= k_max.
-    """
-    if case == 3 and alpha * a0 >= 1.0:
-        raise SequenceParameterError("case 3 recursion needs alpha * a0 < 1")
-    if a0 < 0:
-        raise SequenceParameterError("need a0 >= 0")
-    if case in (1, 2):
-        # the bound is a0 times the k-th power of one step factor: kept as a
-        # running product, the same bits as the product over k factors
-        factor, product = sequence_decay(case, 1.0, [alpha], 1), 1.0
-    rng = box_rng(seed)
-    a = np.full(n_random + 1, float(a0))
-    max_ratio = 0.0
-    for k in range(1, k_max + 1):
-        nxt = _extremal_step(case, a, alpha)
-        # random admissible sequences shed extra mass; index 0 is extremal
-        shed = rng.uniform(0.0, 0.1, size=n_random + 1) * nxt
-        shed[0] = 0.0
-        a = np.maximum(nxt - shed, 0.0)
-        if case in (1, 2):
-            product *= factor
-            bound = a0 * product
-        else:
-            bound = sequence_decay(case, a0, alpha, k)
-        if bound > 0:
-            max_ratio = max(max_ratio, float(a.max()) / bound)
-    return {"case": case, "k_max": k_max, "max_ratio": max_ratio,
-            "pass": max_ratio <= 1.0 + TABLE_TOL}

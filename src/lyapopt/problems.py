@@ -354,14 +354,6 @@ def make_logcosh(scale: float, dim: int = 1) -> ProblemOracle:
     )
 
 
-def subgradient_residual(oracle: ProblemOracle, w, s: float) -> Vector:
-    """q = (w - prox_g(w, s)) / s, a subgradient of g at prox_g(w, s)."""
-    if s <= 0:
-        raise InvalidProblemError("s must be positive")
-    w = np.asarray(w, dtype=float)
-    return (w - oracle.prox_g(w, s)) / s
-
-
 _JSON_KEYS = {
     "quadratic": {"kind", "eigs", "b"},
     "lasso": {"kind", "a_matrix", "b", "rho"},

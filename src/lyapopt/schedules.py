@@ -26,32 +26,6 @@ def gamma_step(gamma_k: float, alpha_k: float, mu: float) -> float:
     return (gamma_k + alpha_k * mu) / (1.0 + alpha_k)
 
 
-def gamma_closed_form(gamma0: float, mu: float, t_seq) -> float:
-    """Closed form of gamma_k in terms of the rescaled steps t_i = alpha_i/gamma_i.
-
-    For mu = 0 the product formula degenerates to 1/(1/gamma0 + sum t_i).
-    """
-    if gamma0 <= 0 or mu < 0:
-        raise ScheduleError("gamma_closed_form needs gamma0 > 0, mu >= 0")
-    t_seq = np.asarray(t_seq, dtype=float)
-    if mu == 0.0:
-        return gamma0 / (1.0 + gamma0 * float(t_seq.sum()))
-    # accumulate in log space so the product stays accurate when mu is tiny
-    # and cannot overflow for long sequences; with s = sum log(1 + t_i mu),
-    # gamma_k = gamma0 / (e^-s + gamma0 (1 - e^-s) / mu)
-    log_prod = float(np.sum(np.log1p(t_seq * mu)))
-    decay = math.exp(-log_prod)
-    return gamma0 / (decay + gamma0 * (-math.expm1(-log_prod)) / mu)
-
-
-def solve_alpha_quadratic(gamma_k: float, lip: float, b_coef: float) -> float:
-    """Positive root of L a^2 = gamma (1 + B a)."""
-    if gamma_k <= 0 or lip <= 0 or b_coef < 0:
-        raise ScheduleError("need gamma_k > 0, lip > 0, b_coef >= 0")
-    bg = b_coef * gamma_k
-    return (bg + math.sqrt(bg * bg + 4.0 * lip * gamma_k)) / (2.0 * lip)
-
-
 def nag_alpha(gamma_k: float, lip: float) -> float:
     """Root of L a^2 = gamma (2 + a)."""
     return (gamma_k + math.sqrt(gamma_k * gamma_k + 8.0 * lip * gamma_k)) / (2.0 * lip)
@@ -63,8 +37,10 @@ def apg_alpha(gamma_k: float, lip: float) -> float:
 
 
 def new_apg_alpha(gamma_k: float, lip: float) -> float:
-    """Root of L a^2 = gamma (1 + a)."""
-    return solve_alpha_quadratic(gamma_k, lip, 1.0)
+    """Positive root of L a^2 = gamma (1 + a)."""
+    if gamma_k <= 0 or lip <= 0:
+        raise ScheduleError("need gamma_k > 0, lip > 0")
+    return (gamma_k + math.sqrt(gamma_k * gamma_k + 4.0 * lip * gamma_k)) / (2.0 * lip)
 
 
 def fast_grad_alpha(gamma_k: float, lip: float) -> float:
@@ -80,15 +56,11 @@ STEP_RULES = {
 }
 
 
-def momentum_alpha(mu: float, lip: float, variant: str = "sqrt") -> float:
-    """Constant momentum step satisfying L a^2 <= mu (1 + a)."""
+def momentum_alpha(mu: float, lip: float) -> float:
+    """Constant momentum step a = sqrt(mu / L), which satisfies L a^2 <= mu (1 + a)."""
     if not 0 < mu <= lip:
         raise ScheduleError("momentum needs 0 < mu <= lip")
-    if variant == "sqrt":
-        return math.sqrt(mu / lip)
-    if variant == "root":
-        return (mu + math.sqrt(mu * mu + 4.0 * lip * mu)) / (2.0 * lip)
-    raise ScheduleError(f"unknown momentum variant: {variant!r}")
+    return math.sqrt(mu / lip)
 
 
 def avd_alpha(gamma_k: float, lip: float) -> float:
@@ -106,17 +78,15 @@ def _b0_c(r: float) -> float:
 
 
 # rule -> (gamma0, lip, r, q) -> (c, sqrt r, linear base), with r = gamma0/L
-# and q = mu/L: rho_k <= min{(c / (c + sqrt(r) k))^2, base^-k}, and c is None
-# for a rule with the linear bound only.  The fast-gradient rule
-# a = sqrt(gamma/(4L)) is the B = 0 rule with L replaced by 4L, which
-# reproduces its stated bound exactly.
+# and q = mu/L: rho_k <= min{(c / (c + sqrt(r) k))^2, base^-k}.  The
+# fast-gradient rule a = sqrt(gamma/(4L)) is the B = 0 rule with L replaced
+# by 4L, which reproduces its stated bound exactly.
 _RATE_RULES = {
     "b0": lambda g0, lip, r, q: (_b0_c(r), math.sqrt(r), 1.0 + math.sqrt(q)),
     "b_half": lambda g0, lip, r, q: (2.0, math.sqrt(r), 1.0 + math.sqrt(q)),
     "nag": lambda g0, lip, r, q: (math.sqrt(2.0), math.sqrt(r), 1.0 + math.sqrt(2.0 * q)),
     "fast_grad": lambda g0, lip, r, q: (_b0_c(g0 / (4.0 * lip)), math.sqrt(g0 / (4.0 * lip)),
                                         1.0 + math.sqrt(q / 4.0)),
-    "momentum": lambda g0, lip, r, q: (None, None, 1.0 + math.sqrt(q)),
 }
 _RATE_RULES["apg"] = _RATE_RULES["b0"]
 _RATE_RULES["new_apg"] = _RATE_RULES["b_half"]
@@ -149,23 +119,12 @@ def rho_bound(rule: str, gamma0: float, mu: float, lip: float, k: int) -> float:
     if k < 0:
         raise ScheduleError("invalid rho_bound parameters")
     c, sr, base, nan = _rate_terms(rule, gamma0, mu, lip)
-    if c is None:
-        bound = base ** (-k)
-    else:
-        sublinear, linear = (c / (c + sr * k)) ** 2, base ** (-k)
-        # min(sublinear, linear) spelled out: the builtin's call costs more
-        # than the arithmetic
-        bound = linear if linear < sublinear else sublinear
+    sublinear, linear = (c / (c + sr * k)) ** 2, base ** (-k)
+    # min(sublinear, linear) spelled out: the builtin's call costs more than
+    # the arithmetic
+    bound = linear if linear < sublinear else sublinear
     # min() drops a NaN term, so a NaN parameter would give a finite bound
     return math.nan if nan else bound
-
-
-def avd_gamma_bound(r: float, k: int) -> float:
-    """Bound on gamma_k / gamma0 for the vanishing-damping scheme, r = gamma0/L."""
-    if r <= 0 or k < 0:
-        raise ScheduleError("need r > 0, k >= 0")
-    sr = math.sqrt(r)
-    return (1.0 + sr / (2.0 + sr)) ** 2 * (2.0 / (2.0 + sr * k)) ** 2
 
 
 def iterate_schedule(rule: str, gamma0: float, mu: float, lip: float, k_max: int):

@@ -77,10 +77,6 @@ def _vec(x) -> np.ndarray:
     return np.asarray(x, dtype=float).copy()
 
 
-def _sq(d) -> float:
-    return float(np.dot(d, d))
-
-
 def _grad(oracle: ProblemOracle, state: SolverState) -> np.ndarray:
     """grad_h(state.x), computed on first use and carried by the state."""
     if state.grad is None:
@@ -199,7 +195,7 @@ def step_apg(oracle: ProblemOracle, state: SolverState) -> SolverState:
     return SolverState(k=state.k + 1, x=x_new, v=v_new, y=y_new,
                        gamma=lip * a_new * a_new, alpha=a_new, grad=g_new,
                        aux={"step_alpha": a,
-                            "resid_sq": _sq(_grad(oracle, state) + q_next)})
+                            "resid_sq": float(_rowsq(_grad(oracle, state) + q_next))})
 
 
 def step_apg_fast_grad(oracle: ProblemOracle, state: SolverState) -> SolverState:
@@ -219,7 +215,7 @@ def step_apg_fast_grad(oracle: ProblemOracle, state: SolverState) -> SolverState
     key_id = a * a * beta * beta * lip / 2.0 + a * a / (2.0 * gamma) - a * beta
     return SolverState(k=state.k + 1, x=x_new, v=v_new, gamma=gamma_new, alpha=a,
                        grad=g_new,
-                       aux={"d_next_sq": _sq(d_next),
+                       aux={"d_next_sq": float(_rowsq(d_next)),
                             "key_identity_err": abs(key_id + 1.0 / (4.0 * lip))})
 
 
@@ -237,28 +233,6 @@ def step_new_apg(oracle: ProblemOracle, state: SolverState) -> SolverState:
     d_f = lip * (y - x_new)
     return SolverState(k=state.k + 1, x=x_new, v=v_new, gamma=gamma_new, alpha=a,
                        aux={"d_f": d_f, "y": y})
-
-
-def momentum_two_sequence(oracle: ProblemOracle, x0, v0, variant: str, iters: int):
-    """Equivalent v-free form of the momentum method; returns the x iterates.
-
-    Eliminating v from the three-stage update under the constant step of
-    the given variant leaves a two-term recursion in (x, y).
-    """
-    a = schedules.momentum_alpha(oracle.mu, oracle.lip, variant)
-    x = _vec(x0)
-    y = (x + a * _vec(v0)) / (1.0 + a)
-    xs = [x]
-    one_a = 1.0 + a
-    for _ in range(iters):
-        x_next = y - oracle.grad_h(y) / oracle.lip
-        if variant == "sqrt":
-            y = a * y / one_a - x / one_a ** 2 + (2.0 + a) * x_next / one_a ** 2
-        else:
-            y = a * a * y / one_a ** 2 - x / one_a ** 2 + 2.0 * x_next / one_a
-        x = x_next
-        xs.append(x)
-    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +337,8 @@ class Method(NamedTuple):
     # slack and no bound
     in_range: Callable = lambda oracle, alpha, start: True
     default_alpha: Callable = lambda oracle: None
+    # False: the step's own rule sets alpha, so a given alpha goes unread
+    takes_alpha: bool = True
     # (rho, block) -> the contraction factor after each row, from rho before
     rho: Callable = lambda rho, block: _divided(rho, 1.0 + block.col("alpha"))
     residual_sq: Callable = _grad_sq  # squared grad-norm residual per row
@@ -478,7 +454,7 @@ METHODS = {
     "momentum": Method(
         step=lambda o, s, a: step_momentum(o, s, a), form="hb",
         slack=_alpha_slack, bound=_measured_bound, blocks=("v",),
-        default_alpha=lambda o: schedules.momentum_alpha(o.mu, o.lip, "sqrt"),
+        default_alpha=lambda o: schedules.momentum_alpha(o.mu, o.lip),
         smooth=True),
     "avd_gs": Method(
         step=lambda o, s, a: step_avd(o, s, "gs", a), form="avd_nag",
@@ -496,22 +472,22 @@ METHODS = {
     "nag": Method(
         step=lambda o, s, a: step_nag(o, s), form="avd_nag",
         slack=_alpha_slack, bound=_schedule_bound("nag"), blocks=("v", "y", "gamma"),
-        bounded=lambda o, l, r_sq: l - r_sq / (2.0 * o.lip), smooth=True),
+        bounded=lambda o, l, r_sq: l - r_sq / (2.0 * o.lip), smooth=True, takes_alpha=False),
     "apg": Method(
         step=lambda o, s, a: step_apg(o, s), form="avd_nag",
         slack=lambda o, b, q_old, q_new: (q_old - b.aux("resid_sq") / (2.0 * o.lip))
         / (1.0 + b.aux("step_alpha")) - q_new,
-        bound=_schedule_bound("b0"), blocks=("v", "y", "gamma", "alpha")),
+        bound=_schedule_bound("b0"), blocks=("v", "y", "gamma", "alpha"), takes_alpha=False),
     "apg_fast_grad": Method(
         step=lambda o, s, a: step_apg_fast_grad(o, s), form="avd_nag",
         slack=lambda o, b, q_old, q_new: (q_old - b.aux("d_next_sq") / (4.0 * o.lip))
         / (1.0 + b.col("alpha")) - q_new,
         bound=_schedule_bound("fast_grad"), blocks=("v", "gamma"),
-        residual_sq=lambda o, b: b.aux("d_next_sq")),
+        residual_sq=lambda o, b: b.aux("d_next_sq"), takes_alpha=False),
     "new_apg": Method(
         step=lambda o, s, a: step_new_apg(o, s), form="avd_nag",
         slack=_alpha_slack, bound=_schedule_bound("b_half"), blocks=("v", "gamma"),
-        residual_sq=lambda o, b: _rowsq(b.aux("d_f"))),
+        residual_sq=lambda o, b: _rowsq(b.aux("d_f")), takes_alpha=False),
 }
 
 SOLVER_KINDS = tuple(METHODS)

@@ -10,6 +10,8 @@ from lyapopt import calculus, flows, lyapunov, schedules, solvers
 from lyapopt.flows import FlowModel, FlowState, continuous_decay_check
 from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic
 
+from paper_identities import avd_gamma_bound, gamma_closed_form, sequence_decay_oracle
+
 
 def _report(num, desc, ok):
     print(f"ACCEPTANCE {num:02d} {desc}: {'PASS' if ok else 'FAIL'}")
@@ -56,7 +58,7 @@ def test_03_scaled_ppa_closed_form():
     for k, rec in enumerate(res.records[1:], start=1):
         ok &= rec.lyapunov <= l0 * 2.0 ** (-k) * (1.0 + 1e-12)
         t_seq.append(1.0 / res.records[k - 1].gamma)
-        closed = schedules.gamma_closed_form(o.lip, o.mu, t_seq)
+        closed = gamma_closed_form(o.lip, o.mu, t_seq)
         ok &= abs(closed - rec.gamma) <= 1e-10 * max(1.0, rec.gamma)
     _report(3, "scaled ppa product rate and gamma closed form", ok)
 
@@ -136,7 +138,7 @@ def test_08_avd_contraction_and_gamma_bound():
     ok = res.violations == 0 and res.certified
     gamma0 = res.records[0].gamma
     for rec in res.records[1:]:
-        ok &= rec.gamma / gamma0 <= schedules.avd_gamma_bound(1.0, rec.k) * (1 + 1e-12)
+        ok &= rec.gamma / gamma0 <= avd_gamma_bound(1.0, rec.k) * (1 + 1e-12)
     res_e = solvers.run(o, "avd_extrap", [4.0, -3.0], gamma0=o.lip, iters=1000)
     for a, b in zip(res.records, res_e.records):
         ok &= abs(a.f_gap - b.f_gap) <= 1e-12 * (1.0 + a.f_gap)
@@ -215,8 +217,7 @@ def test_12_sequence_theorems_and_gamma():
     ok = True
     for case in (1, 2, 3, 4):
         alpha = 0.5 if case == 1 else 0.9
-        rep = lyapunov.sequence_decay_oracle(case, 1.0, alpha, k_max=10_000,
-                                             n_random=100, seed=0)
+        rep = sequence_decay_oracle(case, 1.0, alpha, k_max=10_000, n_random=100, seed=0)
         ok &= rep["pass"]
     rng = box_rng(1004)
     for _ in range(100):
@@ -227,6 +228,6 @@ def test_12_sequence_theorems_and_gamma():
         for i, t in enumerate(t_seq, start=1):
             alpha = t * gamma
             gamma = schedules.gamma_step(gamma, alpha, mu)
-            closed = schedules.gamma_closed_form(gamma0, mu, t_seq[:i])
+            closed = gamma_closed_form(gamma0, mu, t_seq[:i])
             ok &= abs(closed - gamma) <= 1e-12 * max(1.0, gamma)
     _report(12, "sequence decay oracle and gamma closed form", ok)

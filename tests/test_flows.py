@@ -135,7 +135,7 @@ class TestBatchedStates:
     @pytest.mark.parametrize("kind", flows.FLOW_KINDS)
     def test_integrate_spans_finiteness_blocks(self, kind):
         oracle = make_quadratic([0.5, 1.0, 4.0], [1.0, -2.0, 0.3])
-        model = FlowModel(kind, oracle, beta_fn=lambda t: 0.25 + 0.5 * t)
+        model = FlowModel(kind, oracle)
         st = FlowState(1.0, np.array([4.0, -3.0, 0.5]), v=np.array([0.5, 0.0, -1.0]),
                        gamma=3.0)
         n_steps = 3 * flows.FINITE_CHECK_STEPS + 5
@@ -150,9 +150,22 @@ class TestBatchedStates:
         if model.has_gamma:
             assert np.array_equal(traj.gamma, ys[:, -1])
 
+    def test_hnag_field_is_exact(self):
+        # beta = 1/L: dx = (v - x) - (1/L) g, dv = (x - v) mu/gamma - g/gamma,
+        # gamma' = mu - gamma; L = 3, so 1/L is inexact and g / L would differ
+        oracle = make_quadratic([1.0, 3.0], [1.0, -2.0])
+        rng = np.random.default_rng(4)
+        batch = FlowState(rng.uniform(0, 2, 20), rng.uniform(-3, 3, (20, 2)),
+                          v=rng.uniform(-3, 3, (20, 2)), gamma=rng.uniform(0.5, 5.0, 20))
+        vel = flows.field(FlowModel("hnag", oracle), batch)
+        g, gamma, mu = oracle.grad_h(batch.x), batch.gamma[:, None], oracle.mu
+        assert np.array_equal(vel.x, (batch.v - batch.x) - (1.0 / oracle.lip) * g)
+        assert np.array_equal(vel.v, (batch.x - batch.v) * (mu / gamma) - g / gamma)
+        assert np.array_equal(vel.gamma, mu - batch.gamma)
+
     @pytest.mark.parametrize("kind", flows.FLOW_KINDS)
     def test_batched_field_matches_single_states(self, kind):
-        model = FlowModel(kind, QUAD, beta_fn=lambda t: 0.25 + 0.5 * t)
+        model = FlowModel(kind, QUAD)
         rng = np.random.default_rng(3)
         batch = FlowState(rng.uniform(0, 2, 20), rng.uniform(-3, 3, (20, 2)),
                           v=rng.uniform(-3, 3, (20, 2)), gamma=rng.uniform(0.5, 5.0, 20))
@@ -205,7 +218,7 @@ class TestExactSolutions:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as info:
                 integrate(model, FlowState(0.0, np.array([1.0, 1.0])), 100.0, 0.5)
-        assert np.all(np.isfinite(info.value.last_state.x))
+        assert np.all(np.isfinite(info.value.trajectory.x[-1]))
 
     @pytest.mark.parametrize("kind, dt, t_end", [("gradient", 3e-4, 1.8),
                                                  ("scaled_gradient", 1e-3, 1.6)])
@@ -219,11 +232,11 @@ class TestExactSolutions:
         row = int(np.flatnonzero(~np.isfinite(ys).all(axis=1))[0])
         assert row > flows.FINITE_CHECK_STEPS
         assert str(info.value) == f"integration diverged at t={times[row]:.6g}"
-        last = info.value.last_state
-        assert last.t == times[row - 1]
-        assert np.array_equal(last.x, ys[row - 1, :2])
+        traj = info.value.trajectory
+        assert traj.t[-1] == times[row - 1]
+        assert np.array_equal(traj.x[-1], ys[row - 1, :2])
         if model.has_gamma:
-            assert last.gamma == ys[row - 1, -1]
+            assert traj.gamma[-1] == ys[row - 1, -1]
 
     def test_avd_negative_stage_gamma_diverges(self):
         # the log-time grid 1, 3, 9 (dt = 2 at t0 = 1): h = 2 from t = 1,
@@ -235,9 +248,8 @@ class TestExactSolutions:
             with pytest.raises(DivergenceError) as info:
                 integrate(model, st, 9.0, 2.0)
         assert str(info.value) == "integration diverged at t=3"
-        assert info.value.last_state.t == 1.0
-        assert info.value.last_state.gamma == 4.0
         assert np.array_equal(info.value.trajectory.t, [1.0])
+        assert np.array_equal(info.value.trajectory.gamma, [4.0])
 
 
 class TestStartState:

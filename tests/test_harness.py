@@ -236,6 +236,13 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "samples must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("pairing", ["hb", "composite_sc"])
+    def test_negative_seed_exit_2(self, capsys, pairing):
+        # exited 1, the certificate-failure code, with numpy's traceback
+        assert main(["verify-lyapunov", "--pairing", pairing, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be >= 0" in captured.err
+
 
 class TestRatesCommand:
     def test_b0_table(self, tmp_path, capsys):
@@ -465,6 +472,34 @@ def test_nonpositive_gamma0_exit_2(tmp_path, capsys, kind, gamma0):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert "gamma0 > 0" in captured.err
+
+
+# Each ran and passed with a trace identical bit for bit to the default run:
+# the kind never reads the key.
+UNREAD_KEYS = [*((kind, "alpha") for kind in ("nag", "apg", "apg_fast_grad", "new_apg")),
+               *((kind, "v0") for kind in ("ppa", "gd", "pg", "scaled_ppa")),
+               *((kind, "gamma0") for kind in ("ppa", "gd", "pg", "hb_gs", "momentum"))]
+KEY_VALUES = {"alpha": 0.01, "v0": [1.0, 2.0], "gamma0": 3.0}
+
+
+class TestUnreadRunKeys:
+    @pytest.mark.parametrize("kind, key", UNREAD_KEYS)
+    def test_unread_key_exit_2(self, tmp_path, capsys, kind, key):
+        out = tmp_path / "trace.csv"
+        cfg = {"problem": QUAD_PROBLEM, "solver": kind, "iters": 10,
+               key: KEY_VALUES[key], "out": str(out)}
+        assert main(["run", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"never reads {key}" in captured.err
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind in solvers.SOLVER_KINDS
+                                           for key in KEY_VALUES
+                                           if (kind, key) not in UNREAD_KEYS])
+    def test_read_key_runs(self, tmp_path, capsys, kind, key):
+        cfg = {"problem": QUAD_PROBLEM, "solver": kind, "iters": 10, key: KEY_VALUES[key]}
+        assert main(["run", "--config", write_json(tmp_path / "cfg.json", cfg)]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["kind"] == kind
 
 
 MALFORMED_PROBLEMS = {

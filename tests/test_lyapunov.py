@@ -8,16 +8,15 @@ from lyapopt import calculus, flows, lyapunov
 from lyapopt.lyapunov import (
     LyapunovConfigError,
     LyapunovSpec,
-    SequenceParameterError,
     StrongParams,
     evaluate,
     grad_blocks,
-    sequence_decay,
-    sequence_decay_oracle,
     strong_condition_check,
     verify_pairing,
 )
-from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic
+from lyapopt.problems import box_rng, make_lasso, make_logcosh, make_quadratic, rowdot
+
+from paper_identities import SequenceParameterError, sequence_decay, sequence_decay_oracle
 
 RADIUS = calculus.SAMPLING_RADIUS
 
@@ -198,6 +197,15 @@ class TestStrongConditionCheck:
         with pytest.raises(LyapunovConfigError, match="samples must be >= 1"):
             lyapunov.composite_condition_check(lyapunov._lasso_sc(), samples, 0)
 
+    def test_negative_seed_refused(self):
+        # numpy's generator raised ValueError, which the CLI reported as a
+        # failed certificate (exit 1) with a traceback
+        model, lyap = lyapunov.pairing_hb()
+        with pytest.raises(LyapunovConfigError, match="seed must be >= 0"):
+            strong_condition_check(model, lyap, 10, -1)
+        with pytest.raises(LyapunovConfigError, match="seed must be >= 0"):
+            verify_pairing("hb", 10, -1)
+
     @pytest.mark.parametrize("kind, oracle, name", [
         ("gradient", make_quadratic([1.0, 4.0], [1.0, -2.0]), "gd_combined"),
         ("gradient", make_logcosh(2.0, dim=2), "gf_convex"),
@@ -299,6 +307,21 @@ class TestStrongConditionCheck:
             kept += 1
             gap = o.eval_f(x) - o.f_star
             assert gap <= o.radius_r0 * np.linalg.norm(o.grad_h(x)) + 1e-12
+
+
+class TestHnagDissipation:
+    def test_p_sq_is_grad_sq_over_lip_plus_spread(self):
+        # p^2 = (1.0 / L) |g|^2 + mu/2 |x - v|^2 bit for bit; with L = 3,
+        # |g|^2 / L rounds differently on some states
+        oracle = make_quadratic([1.0, 3.0], [1.0, -2.0])
+        model, lyap = lyapunov.pairing_hnag(oracle)
+        st = next(lyapunov._sample_states(model, 200, 0))[0]
+        g, d = oracle.grad_h(st.x), st.x - st.v
+        spread = 0.5 * oracle.mu * rowdot(d, d)
+        assert np.array_equal(lyap.strong_params.p_sq(st),
+                              (1.0 / oracle.lip) * rowdot(g, g) + spread)
+        assert not np.array_equal(lyap.strong_params.p_sq(st),
+                                  rowdot(g, g) / oracle.lip + spread)
 
 
 class TestBatchedSampling:
@@ -447,3 +470,18 @@ class TestSequenceDecay:
     def test_unknown_case_rejected(self):
         with pytest.raises(SequenceParameterError):
             sequence_decay(5, 1.0, 0.1, 1)
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a0, alpha", [(1.0, math.nan), (1.0, math.inf), (math.nan, 0.5)])
+    def test_oracle_rejects_nonfinite_input(self, case, a0, alpha):
+        # a NaN alpha made every bound NaN, which the oracle skipped: it
+        # reported max_ratio 0.0 and passed in all four cases
+        with pytest.raises(SequenceParameterError, match="finite"):
+            sequence_decay_oracle(case, a0, alpha, 20)
+
+    def test_oracle_fails_on_nan_ratio(self):
+        # case 4's extremal step divides by alpha: at alpha = 0 every
+        # sequence is NaN, which max() dropped
+        with np.errstate(invalid="ignore"):
+            report = sequence_decay_oracle(4, 1.0, 0.0, 20)
+        assert report["pass"] is False and math.isnan(report["max_ratio"])

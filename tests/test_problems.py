@@ -13,8 +13,15 @@ from lyapopt.problems import (
     make_quadratic,
     problem_from_json,
     soft_threshold,
-    subgradient_residual,
 )
+
+
+def subgradient_residual(oracle, w, s: float):
+    """q = (w - prox_g(w, s)) / s, a subgradient of g at prox_g(w, s)."""
+    if s <= 0:
+        raise InvalidProblemError("s must be positive")
+    w = np.asarray(w, dtype=float)
+    return (w - oracle.prox_g(w, s)) / s
 
 
 def finite_diff_grad(f, x, h=1e-6):

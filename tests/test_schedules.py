@@ -8,14 +8,14 @@ from lyapopt import schedules
 from lyapopt.schedules import (
     ScheduleError,
     avd_alpha,
-    avd_gamma_bound,
-    gamma_closed_form,
     gamma_step,
     iterate_schedule,
     momentum_alpha,
+    new_apg_alpha,
     rho_bound,
-    solve_alpha_quadratic,
 )
+
+from paper_identities import avd_gamma_bound, gamma_closed_form
 
 GRID_R = [0.25, 1.0, 4.0]
 GRID_Q = [0.0, 1e-4, 1e-2, 1.0]
@@ -97,12 +97,17 @@ class TestIterateSchedule:
 
 
 class TestStepRules:
-    @given(st.floats(0.01, 100), st.floats(0.01, 100), st.floats(0, 5))
+    @given(st.floats(0.01, 100), st.floats(0.01, 100))
     @settings(max_examples=200, deadline=None)
-    def test_quadratic_root(self, gamma, lip, b_coef):
-        a = solve_alpha_quadratic(gamma, lip, b_coef)
+    def test_quadratic_root(self, gamma, lip):
+        a = new_apg_alpha(gamma, lip)
         assert a > 0
-        assert lip * a * a == pytest.approx(gamma * (1 + b_coef * a), rel=1e-10)
+        assert lip * a * a == pytest.approx(gamma * (1 + a), rel=1e-10)
+
+    @pytest.mark.parametrize("gamma, lip", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+    def test_new_apg_alpha_rejects_nonpositive(self, gamma, lip):
+        with pytest.raises(ScheduleError):
+            new_apg_alpha(gamma, lip)
 
     def test_named_rules_satisfy_defining_equations(self):
         gamma, lip = 2.0, 5.0
@@ -121,10 +126,10 @@ class TestStepRules:
     def test_new_apg_golden_ratio(self):
         assert schedules.new_apg_alpha(1.0, 1.0) == pytest.approx((1 + math.sqrt(5)) / 2)
 
-    @pytest.mark.parametrize("variant", ["sqrt", "root"])
-    def test_momentum_alpha_feasible(self, variant):
+    def test_momentum_alpha_feasible(self):
         for mu, lip in [(0.1, 1.0), (1.0, 1.0), (1e-4, 3.0)]:
-            a = momentum_alpha(mu, lip, variant)
+            a = momentum_alpha(mu, lip)
+            assert a == math.sqrt(mu / lip)
             assert lip * a * a <= mu * (1 + a) + 1e-12
 
     def test_momentum_rejects_mu_zero(self):
@@ -156,7 +161,7 @@ class TestRhoBounds:
             assert rhos[k] <= rho_bound(rate_rule, gamma0, mu, lip, k) * (1 + 1e-12)
 
     def test_k_zero_is_one(self):
-        for rule in ("b0", "b_half", "nag", "fast_grad", "momentum"):
+        for rule in ("b0", "b_half", "nag", "fast_grad"):
             assert rho_bound(rule, 1.0, 0.1, 1.0, 0) == pytest.approx(1.0)
 
     def test_rho_below_gamma_ratio(self):
@@ -219,8 +224,6 @@ def reference_rho_bound(rule, gamma0, mu, lip, k):
         bound = min(_ref_sublinear_nag(r, k), _ref_linear(q, k, factor=2.0))
     elif rule == "fast_grad":
         bound = min(_ref_sublinear_b0(gamma0 / (4.0 * lip), k), _ref_linear(q / 4.0, k))
-    elif rule == "momentum":
-        bound = _ref_linear(q, k)
     else:
         raise ScheduleError(f"unknown rate rule: {rule!r}")
     return math.nan if math.isnan(r) or math.isnan(q) else bound
@@ -235,7 +238,7 @@ def same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-RATE_RULES = ("b0", "apg", "b_half", "new_apg", "nag", "fast_grad", "momentum")
+RATE_RULES = ("b0", "apg", "b_half", "new_apg", "nag", "fast_grad")
 PIN_KS = [*range(61), 999, 1000, 10**6]
 
 

@@ -13,7 +13,6 @@ from lyapopt.solvers import (
     SolverState,
     UnsupportedSolverError,
     init_state,
-    momentum_two_sequence,
     run,
     step_apg_fast_grad,
     step_gd,
@@ -23,7 +22,39 @@ from lyapopt.solvers import (
     step_ppa,
 )
 
+from paper_identities import gamma_closed_form
+
 QUAD = make_quadratic([1.0, 4.0], [1.0, -2.0])
+
+
+def momentum_step(mu, lip, variant):
+    """A constant momentum step with L a^2 <= mu (1 + a): "sqrt" is the
+    library's sqrt(mu / L), "root" the positive root of L a^2 = mu (1 + a)."""
+    if variant == "sqrt":
+        return schedules.momentum_alpha(mu, lip)
+    return (mu + math.sqrt(mu * mu + 4.0 * lip * mu)) / (2.0 * lip)
+
+
+def momentum_two_sequence(oracle, x0, v0, variant: str, iters: int):
+    """Equivalent v-free form of the momentum method; returns the x iterates.
+
+    Eliminating v from the three-stage update under the constant step of
+    the given variant leaves a two-term recursion in (x, y).
+    """
+    a = momentum_step(oracle.mu, oracle.lip, variant)
+    x = np.asarray(x0, dtype=float).copy()
+    y = (x + a * np.asarray(v0, dtype=float)) / (1.0 + a)
+    xs = [x]
+    one_a = 1.0 + a
+    for _ in range(iters):
+        x_next = y - oracle.grad_h(y) / oracle.lip
+        if variant == "sqrt":
+            y = a * y / one_a - x / one_a ** 2 + (2.0 + a) * x_next / one_a ** 2
+        else:
+            y = a * a * y / one_a ** 2 - x / one_a ** 2 + 2.0 * x_next / one_a
+        x = x_next
+        xs.append(x)
+    return xs
 
 
 def sc_lasso():
@@ -217,7 +248,7 @@ class TestCertificates:
     @pytest.mark.parametrize("variant", ["sqrt", "root"])
     def test_momentum(self, variant):
         self.check(run(QUAD, "momentum", [4.0, -3.0], iters=1000,
-                       alpha=schedules.momentum_alpha(QUAD.mu, QUAD.lip, variant)))
+                       alpha=momentum_step(QUAD.mu, QUAD.lip, variant)))
 
     def test_nag(self):
         self.check(run(QUAD, "nag", [4.0, -3.0], iters=1000))
@@ -244,7 +275,7 @@ class TestEquivalences:
     @pytest.mark.parametrize("variant", ["sqrt", "root"])
     def test_momentum_two_sequence_form(self, variant):
         x0, v0 = np.array([4.0, -3.0]), np.array([0.0, 1.0])
-        a = schedules.momentum_alpha(QUAD.mu, QUAD.lip, variant)
+        a = momentum_step(QUAD.mu, QUAD.lip, variant)
         res = run(QUAD, "momentum", x0, v0=v0, iters=60, alpha=a)
         xs = momentum_two_sequence(QUAD, x0, v0, variant, 60)
         st = SolverState(k=0, x=x0.copy(), v=v0.copy())
@@ -299,7 +330,7 @@ class TestRatesAndRunLoop:
         t_seq = []
         for rec in res.records[1:]:
             t_seq.append(rec.alpha / (rec.gamma * (1 + rec.alpha) - rec.alpha * o.mu))
-            closed = schedules.gamma_closed_form(o.lip, o.mu, t_seq)
+            closed = gamma_closed_form(o.lip, o.mu, t_seq)
             assert abs(closed - rec.gamma) <= 1e-10 * max(1.0, rec.gamma)
 
     def test_pgconvex_inequality_at_new_apg_iterates(self):
