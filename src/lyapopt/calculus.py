@@ -25,7 +25,9 @@ TABLE_TOL = 1e-12
 class DivergencePair:
     """Forward/backward Bregman divergences and their symmetrization.
 
-    Always satisfies 2 * m_sym == d_forward + d_backward by construction.
+    In exact arithmetic 2 * m_sym == d_forward + d_backward.  The three are
+    computed separately, so in floating point they agree only up to
+    rounding.
     """
 
     d_forward: float

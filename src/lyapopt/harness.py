@@ -127,6 +127,12 @@ def _unread_keys(config: dict) -> list:
 
 
 def cmd_run(config: dict) -> dict:
+    return _record_run(config, _run_config(config))
+
+
+def _run_config(config: dict) -> solvers.RunResult:
+    """The run config asks for; a refused config raises before it writes
+    anything."""
     kind = config["solver"]
     unread = _unread_keys(config)
     if unread:
@@ -136,7 +142,7 @@ def cmd_run(config: dict) -> dict:
     x0 = _vector(config, "x0", oracle.dim)
     if x0 is None:
         x0 = oracle.x0_ref if oracle.x0_ref is not None else np.ones(oracle.dim)
-    result = solvers.run(
+    return solvers.run(
         oracle, kind,
         x0=np.asarray(x0, dtype=float),
         v0=_vector(config, "v0", oracle.dim),
@@ -145,12 +151,16 @@ def cmd_run(config: dict) -> dict:
         alpha=config.get("alpha"),
         stop_grad_tol=config.get("stop_grad_tol"),
     )
+
+
+def _record_run(config: dict, result: solvers.RunResult) -> dict:
+    """Write the run's trace where config asks and return its report."""
     out = config.get("out")
     if out:
         write_csv(out, RUN_HEADER, run_rows(result))
         log.info("trace written to %s", out)
     report = _run_report(result)
-    log.info("run %s: %s", kind, "PASS" if report["pass"] else "FAIL")
+    log.info("run %s: %s", result.kind, "PASS" if report["pass"] else "FAIL")
     return report
 
 
@@ -220,7 +230,8 @@ def cmd_rates(rule: str, r: float, mu_over_l: float, k_max: int,
     if out:
         write_csv(out, ("k", "rho_measured", "rho_bound"), rows)
         log.info("rate table written to %s", out)
-    # the measured factors are numpy floats: cast so the report is plain JSON
+    # the cells are Python floats for float r and mu_over_l, numpy floats
+    # for numpy ones: cast so the report is plain JSON either way
     ok = finite and bool(max_slack_violation <= calculus.TABLE_TOL)
     log.info("rates %s: %s", rule, "PASS" if ok else "FAIL")
     return {"rule": rule, "k_max": k_max, "pass": ok,
@@ -290,7 +301,10 @@ def main(argv=None) -> int:
                     raise ConfigError("--out needs a config file of one config "
                                       "without its own \"out\"")
                 configs[0]["out"] = args.out
-            reports = [cmd_run(cfg) for cfg in configs]
+            # every config runs before the first trace is written, so a
+            # refused config leaves no trace behind
+            results = [_run_config(cfg) for cfg in configs]
+            reports = [_record_run(cfg, res) for cfg, res in zip(configs, results)]
             _print_json(reports if len(reports) > 1 else reports[0])
             return 0 if all(r["pass"] for r in reports) else 1
         if args.command == "flow":

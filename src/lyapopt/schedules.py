@@ -12,8 +12,6 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 
 class ScheduleError(ValueError):
     """Invalid schedule parameters (nonpositive inputs, gamma0 < mu...)."""
@@ -111,14 +109,31 @@ def _rate_terms(rule: str, gamma0: float, mu: float, lip: float) -> tuple:
     return (*terms(gamma0, lip, r, q), math.isnan(r) or math.isnan(q))
 
 
+# The last (rule, gamma0, mu, lip, terms) rho_bound looked up.  A table asks
+# for every k with the same argument objects, and four identity tests cost
+# less than the typed cache's hash of four arguments and their types.  The
+# same object is the same type, so this answers as the typed cache would; an
+# entry is stored only once the cache has hashed its arguments and returned,
+# and holding them keeps their ids from being reused.
+_last_terms = (None, None, None, None, None)
+
+
 def rho_bound(rule: str, gamma0: float, mu: float, lip: float, k: int) -> float:
     """Closed-form min{sublinear, linear} bound on rho_k for the named rule.
 
     Requires gamma0 = r * lip >= mu (hypothesis of the bounds).
     """
+    global _last_terms
     if k < 0:
         raise ScheduleError("invalid rho_bound parameters")
-    c, sr, base, nan = _rate_terms(rule, gamma0, mu, lip)
+    last = _last_terms
+    if rule is last[0] and gamma0 is last[1] and mu is last[2] and lip is last[3]:
+        c, sr, base, nan = last[4]
+    else:
+        terms = _rate_terms(rule, gamma0, mu, lip)
+        # one assignment: a reader sees the old entry or the new, never a mix
+        _last_terms = (rule, gamma0, mu, lip, terms)
+        c, sr, base, nan = terms
     sublinear, linear = (c / (c + sr * k)) ** 2, base ** (-k)
     # min(sublinear, linear) spelled out: the builtin's call costs more than
     # the arithmetic
@@ -130,14 +145,16 @@ def rho_bound(rule: str, gamma0: float, mu: float, lip: float, k: int) -> float:
 def iterate_schedule(rule: str, gamma0: float, mu: float, lip: float, k_max: int):
     """Run the coupled (gamma, alpha) recursion; returns alphas, gammas, rhos.
 
-    gammas and rhos have length k_max + 1 (including index 0), alphas k_max.
+    Each is a list, of Python floats for float mu and lip: gammas and rhos
+    have length k_max + 1 (including index 0), alphas k_max.
     """
     if rule not in STEP_RULES:
         raise ScheduleError(f"unknown step rule: {rule!r}")
     if lip <= 0 or k_max < 0:
         raise ScheduleError("iterate_schedule needs lip > 0 and k_max >= 0")
     alpha_fn = STEP_RULES[rule]
-    # on Python floats: a numpy element read or write costs more than the step
+    # on Python floats, and returned as such: a numpy element read or write
+    # costs more than the step, here and in every per-k reader
     gamma, rho = float(gamma0), 1.0
     alphas, gammas, rhos = [], [gamma], [rho]
     for _ in range(k_max):
@@ -147,4 +164,4 @@ def iterate_schedule(rule: str, gamma0: float, mu: float, lip: float, k_max: int
         rho = rho / (1.0 + a)
         gammas.append(gamma)
         rhos.append(rho)
-    return np.array(alphas), np.array(gammas), np.array(rhos)
+    return alphas, gammas, rhos

@@ -17,6 +17,8 @@ def write_json(path, doc):
 
 
 QUAD_PROBLEM = {"kind": "quadratic", "eigs": [1.0, 100.0], "b": [1.0, 0.0]}
+LASSO_PROBLEM = {"kind": "lasso", "a_matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                 "b": [1.0, 0.0, 1.0], "rho": 0.3}
 
 
 def gd_config(out=None):
@@ -109,6 +111,35 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "--out" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("refused", [
+        {"problem": QUAD_PROBLEM, "solver": "nag", "iters": 10, "alpha": 0.5},
+        {"problem": QUAD_PROBLEM, "solver": "bogus", "iters": 10},
+        {"problem": LASSO_PROBLEM, "solver": "gd", "iters": 10},
+    ], ids=["unread-key", "unknown-kind", "smooth-only-on-lasso"])
+    def test_refused_config_after_a_run_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                       refused):
+        # the first config's trace was written before the second was refused
+        monkeypatch.chdir(tmp_path)
+        path = write_json(tmp_path / "two.json", [gd_config("first.csv"), refused])
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two.json"]
+
+    def test_config_list_writes_every_trace(self, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        nag = {"problem": QUAD_PROBLEM, "solver": "nag", "iters": 50, "x0": [4.0, -3.0],
+               "out": str(second)}
+        path = write_json(tmp_path / "two.json", [gd_config(str(first)), nag])
+        assert main(["run", "--config", path]) == 0
+        assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == ["gd", "nag"]
+        for out, cfg in ((first, gd_config()), (second, nag)):
+            result = solvers.run(problem_from_json(QUAD_PROBLEM), cfg["solver"],
+                                 x0=np.array(cfg["x0"]), iters=cfg["iters"],
+                                 alpha=cfg.get("alpha"))
+            assert out.read_bytes() == csv_reference(harness.RUN_HEADER,
+                                                     list(harness.run_rows(result)))
 
 
 class TestFlowCommand:
@@ -385,10 +416,6 @@ class TestRunFailsClosed:
         json.dumps(report, allow_nan=False)
 
 
-LASSO_PROBLEM = {"kind": "lasso", "a_matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-                 "b": [1.0, 0.0, 1.0], "rho": 0.3}
-
-
 class TestNonFiniteProblem:
     # each one built an oracle and ended in a certificate FAIL (exit 1)
     @pytest.mark.parametrize("command", ["run", "flow"])
@@ -610,11 +637,13 @@ class TestTraceWriter:
             self.check(tmp_path, ("t", "lyapunov", "bound", "x_norm_err", "gamma"), rows)
 
     def test_rates_rows(self, tmp_path, capsys):
-        for rule in ("nag", "apg"):
-            out = tmp_path / f"{rule}.csv"
-            assert main(["rates", "--rule", rule, "--r", "1.0", "--mu-over-l", "0.01",
-                         "--kmax", "30", "--out", str(out)]) == 0
-            _, _, rhos = harness.schedules.iterate_schedule(rule, 1.0, 0.01, 1.0, 30)
-            rows = [(k, rhos[k], harness.schedules.rho_bound(rule, 1.0, 0.01, 1.0, k))
-                    for k in range(31)]
-            assert out.read_bytes() == csv_reference(("k", "rho_measured", "rho_bound"), rows)
+        for rule in ("nag", "apg", "new_apg", "fast_grad"):
+            for q in (0.0, 1e-3):
+                out = tmp_path / f"{rule}_{q}.csv"
+                assert main(["rates", "--rule", rule, "--r", "1.0", "--mu-over-l", str(q),
+                             "--kmax", "30", "--out", str(out)]) == 0
+                _, _, rhos = harness.schedules.iterate_schedule(rule, 1.0, q, 1.0, 30)
+                rows = [(k, rhos[k], harness.schedules.rho_bound(rule, 1.0, q, 1.0, k))
+                        for k in range(31)]
+                assert out.read_bytes() == csv_reference(("k", "rho_measured", "rho_bound"),
+                                                         rows)

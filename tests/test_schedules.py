@@ -45,7 +45,7 @@ class TestGammaRecursion:
     def test_closed_form_matches_iteration(self, rule, r, q):
         lip = 3.0
         gamma0, mu = r * lip, q * lip
-        alphas, gammas, _ = iterate_schedule(rule, gamma0, mu, lip, 200)
+        alphas, gammas, _ = map(np.array, iterate_schedule(rule, gamma0, mu, lip, 200))
         t_seq = alphas / gammas[:-1]
         for k in (1, 50, 200):
             closed = gamma_closed_form(gamma0, mu, t_seq[:k])
@@ -76,8 +76,8 @@ class TestIterateSchedule:
         got = iterate_schedule(rule, r, q, 1.0, 1000)
         want = numpy_indexed_schedule(rule, r, q, 1.0, 1000)
         for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+            assert all(type(v) is float for v in a)
+            assert np.array(a, dtype=float).tobytes() == b.tobytes()
 
     def test_steps_through_gamma_step(self, monkeypatch):
         calls = []
@@ -93,7 +93,7 @@ class TestIterateSchedule:
         with pytest.raises(ScheduleError):
             iterate_schedule("nag", 1.0, 0.0, 0.0, 10)
         alphas, gammas, rhos = iterate_schedule("apg", 1.0, 0.0, 1.0, 0)
-        assert alphas.shape == (0,) and gammas.tolist() == [1.0] and rhos.tolist() == [1.0]
+        assert alphas == [] and gammas == [1.0] and rhos == [1.0]
 
 
 class TestStepRules:
@@ -167,7 +167,7 @@ class TestRhoBounds:
     def test_rho_below_gamma_ratio(self):
         # rho_k <= gamma_k / gamma_0 along every coupled schedule
         for rule in ("nag", "apg", "new_apg", "fast_grad"):
-            _, gammas, rhos = iterate_schedule(rule, 2.0, 0.3, 2.0, 100)
+            _, gammas, rhos = map(np.array, iterate_schedule(rule, 2.0, 0.3, 2.0, 100))
             assert np.all(rhos <= gammas / gammas[0] + 1e-12)
 
     def test_gamma0_below_mu_rejected(self):
@@ -287,6 +287,73 @@ class TestRhoBoundPinned:
             rho_bound(*args)
         with pytest.raises(ScheduleError, match=message):
             reference_rho_bound(*args)
+
+
+class TestRhoBoundMemo:
+    """rho_bound remembers the last parameter set by identity; every answer
+    must still be the reference's for the arguments as given."""
+
+    @pytest.mark.parametrize("rule", RATE_RULES)
+    def test_interleaved_parameter_sets(self, rule):
+        sets = [(1.0, 0.0, 1.0), (4.0, 1e-3, 1.0), (1.0, 0.0, 2.5), (0.25, 0.2, 2.5)]
+        for k in (*range(8), 1000):
+            for args in sets + sets[::-1]:
+                assert same_float(rho_bound(rule, *args, k),
+                                  reference_rho_bound(rule, *args, k)), (args, k)
+
+    @pytest.mark.parametrize("rule", RATE_RULES)
+    def test_equal_values_of_other_types(self, rule):
+        # each follows an equal-valued set of another type, as in
+        # TestRhoBoundPinned's typed cases
+        sets = [(1.0, 0.0, 3.0), (np.float32(1.0), np.float32(0.0), np.float32(3.0)),
+                (1, 0, 3), (float("1"), float("0"), float("3")), (2**60, 0, 3),
+                (2.0**60, 0.0, 3.0), (np.float32(2.0**60), np.float32(0.0), np.float32(3.0))]
+        for k in (0, 1, 7, 1000):
+            for args in sets + sets[::-1]:
+                assert same_float(rho_bound(rule, *args, k),
+                                  reference_rho_bound(rule, *args, k)), (args, k)
+
+    def test_float32_terms_differ_from_float(self):
+        # so an equality-keyed memo would answer the float32 set wrongly
+        assert rho_bound("b0", np.float32(1.0), np.float32(0.0), np.float32(3.0), 7) != \
+            rho_bound("b0", 1.0, 0.0, 3.0, 7)
+
+    @pytest.mark.parametrize("rule", RATE_RULES)
+    def test_nan_parameter(self, rule):
+        nan, other_nan = math.nan, float("nan")
+        for args in [(nan, 0.0, 1.0), (nan, 0.0, 1.0), (other_nan, 0.0, 1.0),
+                     (1.0, nan, 1.0), (1.0, 0.0, 1.0), (1.0, nan, 1.0)]:
+            for k in (0, 3):
+                assert same_float(rho_bound(rule, *args, k),
+                                  reference_rho_bound(rule, *args, k)), (args, k)
+
+    def test_refused_set_raises_again(self):
+        gamma0, mu, lip = 0.5, 1.0, 1.0
+        for _ in range(2):
+            assert same_float(rho_bound("nag", 1.0, 0.0, 1.0, 3),
+                              reference_rho_bound("nag", 1.0, 0.0, 1.0, 3))
+            for _ in range(2):
+                with pytest.raises(ScheduleError, match="require gamma0 >= mu"):
+                    rho_bound("nag", gamma0, mu, lip, 3)
+        # the same objects under a valid rule, then an unknown rule, then k < 0
+        one, zero = 1.0, 0.0
+        assert same_float(rho_bound("nag", one, zero, one, 3),
+                          reference_rho_bound("nag", one, zero, one, 3))
+        with pytest.raises(ScheduleError, match="unknown rate rule"):
+            rho_bound("bogus", one, zero, one, 3)
+        with pytest.raises(ScheduleError, match="invalid rho_bound parameters"):
+            rho_bound("nag", one, zero, one, -1)
+
+    def test_table_looks_its_terms_up_once(self, monkeypatch):
+        calls = []
+        terms = schedules._rate_terms
+        monkeypatch.setattr(schedules, "_last_terms", (None,) * 5)
+        monkeypatch.setattr(schedules, "_rate_terms",
+                            lambda *a: calls.append(a) or terms(*a))
+        r, q, lip = 0.25, 1e-3, 1.0
+        for k in range(1001):
+            rho_bound("nag", r, q, lip, k)
+        assert calls == [("nag", r, q, lip)]
 
 
 class TestAvdGammaBound:
