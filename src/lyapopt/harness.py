@@ -9,6 +9,7 @@ so doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import math
@@ -142,7 +143,7 @@ def _run_config(config: dict) -> solvers.RunResult:
     x0 = _vector(config, "x0", oracle.dim)
     if x0 is None:
         x0 = oracle.x0_ref if oracle.x0_ref is not None else np.ones(oracle.dim)
-    return solvers.run(
+    result = solvers.run(
         oracle, kind,
         x0=np.asarray(x0, dtype=float),
         v0=_vector(config, "v0", oracle.dim),
@@ -151,6 +152,12 @@ def _run_config(config: dict) -> solvers.RunResult:
         alpha=config.get("alpha"),
         stop_grad_tol=config.get("stop_grad_tol"),
     )
+    out = config.get("out")
+    if out and not os.path.exists(os.path.dirname(out) or "."):
+        # write_csv's open would refuse it with this error, but only after a
+        # list's earlier traces were written
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    return result
 
 
 def _record_run(config: dict, result: solvers.RunResult) -> dict:

@@ -9,7 +9,6 @@ bounds, kept here as one rule table.
 
 from __future__ import annotations
 
-import functools
 import math
 
 
@@ -90,13 +89,8 @@ _RATE_RULES["apg"] = _RATE_RULES["b0"]
 _RATE_RULES["new_apg"] = _RATE_RULES["b_half"]
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def _rate_terms(rule: str, gamma0: float, mu: float, lip: float) -> tuple:
-    """rho_bound's k-independent terms: (c, sqrt r, linear base, NaN flag).
-
-    Cached per parameter set; typed, so an int argument is never answered
-    with the terms of its float twin.
-    """
+    """rho_bound's k-independent terms: (c, sqrt r, linear base, NaN flag)."""
     if gamma0 <= 0 or lip <= 0 or mu < 0:
         raise ScheduleError("invalid rho_bound parameters")
     if gamma0 < mu:
@@ -109,12 +103,10 @@ def _rate_terms(rule: str, gamma0: float, mu: float, lip: float) -> tuple:
     return (*terms(gamma0, lip, r, q), math.isnan(r) or math.isnan(q))
 
 
-# The last (rule, gamma0, mu, lip, terms) rho_bound looked up.  A table asks
-# for every k with the same argument objects, and four identity tests cost
-# less than the typed cache's hash of four arguments and their types.  The
-# same object is the same type, so this answers as the typed cache would; an
-# entry is stored only once the cache has hashed its arguments and returned,
-# and holding them keeps their ids from being reused.
+# The last (rule, gamma0, mu, lip, terms) rho_bound computed, keyed on the
+# identity of its arguments: a hit means the same objects, so the same types
+# and values.  Stored only after _rate_terms returns, so a refused set raises
+# again.
 _last_terms = (None, None, None, None, None)
 
 
@@ -131,7 +123,6 @@ def rho_bound(rule: str, gamma0: float, mu: float, lip: float, k: int) -> float:
         c, sr, base, nan = last[4]
     else:
         terms = _rate_terms(rule, gamma0, mu, lip)
-        # one assignment: a reader sees the old entry or the new, never a mix
         _last_terms = (rule, gamma0, mu, lip, terms)
         c, sr, base, nan = terms
     sublinear, linear = (c / (c + sr * k)) ** 2, base ** (-k)

@@ -116,7 +116,8 @@ class TestRunCommand:
         {"problem": QUAD_PROBLEM, "solver": "nag", "iters": 10, "alpha": 0.5},
         {"problem": QUAD_PROBLEM, "solver": "bogus", "iters": 10},
         {"problem": LASSO_PROBLEM, "solver": "gd", "iters": 10},
-    ], ids=["unread-key", "unknown-kind", "smooth-only-on-lasso"])
+        gd_config("missing/second.csv"),
+    ], ids=["unread-key", "unknown-kind", "smooth-only-on-lasso", "missing-out-directory"])
     def test_refused_config_after_a_run_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                        refused):
         # the first config's trace was written before the second was refused
@@ -126,6 +127,16 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["two.json"]
+
+    def test_missing_out_directory_refused_as_open_refuses_it(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_json(tmp_path / "cfg.json", gd_config("missing/t.csv"))
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        with pytest.raises(FileNotFoundError) as opened:
+            open("missing/t.csv", "w")
+        assert captured.out == "" and captured.err == f"error: {opened.value}\n"
 
     def test_config_list_writes_every_trace(self, tmp_path, capsys):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
