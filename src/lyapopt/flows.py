@@ -7,12 +7,19 @@ second-order system in its first-order form, and the gradient-corrected
 accelerated flow with an extra -(1/L) grad f damping term; each kind is
 one entry of FLOWS.  An RK4 integrator produces reference trajectories from
 start_state on each kind's time grid, and a decay checker confirms the
-Lyapunov bounds along them within a step-doubling error budget.
+Lyapunov bounds along them within a step-doubling error budget.  The
+checker runs the budget's coarse run in a forked child (POSIX only),
+concurrently with the fine run; its reports are identical to an in-process
+run's, and on one CPU the two processes time-share, at the cost of one fork.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional
 
@@ -230,24 +237,15 @@ def _unpack(model: FlowModel, t, y: np.ndarray) -> FlowState:
     return _raw_state(t, y[:, :n], v, gamma)
 
 
-def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> FlowState:
-    """Classical RK4 on the kind's time grid, sampled every step.
+def _grid(model: FlowModel, state0: FlowState, t_end: float, dt: float):
+    """The times of a run of model from state0 to t_end with step dt, and
+    the steps between them; raises FlowError on a run integrate refuses.
 
     The grid is uniform in t, with steps of about dt, or for a log_time
     kind uniform in s = ln t: t_i = t0 (t_end / t0)^(i / N) with
     N = round(ln(t_end / t0) / ln(1 + dt)), whose step is about dt at t0 and
-    grows like t.
-
-    Returns the trajectory, state0 included, as one batched FlowState with
-    a leading axis of steps + 1.  Raises DivergenceError carrying the finite
-    part of the trajectory if it blows up.
-
-    The stages are written into preallocated rows, and gamma, which no
-    other block feeds, is carried as a float.  Finiteness is checked once
-    per FINITE_CHECK_STEPS steps, over every row of the block, so the
-    error names the first non-finite row, as a per-step check would; the
-    rest of its block is computed and dropped.  A trajectory of more than
-    MAX_TRAJECTORY_VALUES values is refused before anything is allocated.
+    grows like t.  A trajectory of more than MAX_TRAJECTORY_VALUES values
+    is refused before anything is allocated.
     """
     if model.oracle.is_composite:
         raise FlowError(f"{model.kind} flow moves on grad h alone: smooth objectives only")
@@ -274,6 +272,26 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
         steps = np.full(n_steps, (t_end - t0) / n_steps)
         # np.cumsum adds in sequence: t_i = t_(i-1) + h, as a running sum
         times = np.cumsum(np.concatenate([[t0], steps]))
+    return times, steps
+
+
+def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> FlowState:
+    """Classical RK4 on the kind's time grid (see _grid), sampled every step.
+
+    Returns the trajectory, state0 included, as one batched FlowState with
+    a leading axis of steps + 1.  Raises DivergenceError carrying the finite
+    part of the trajectory if it blows up.
+
+    The stages are written into preallocated rows, and gamma, which no
+    other block feeds, is carried as a float.  Finiteness is checked once
+    per FINITE_CHECK_STEPS steps, over every row of the block, so the
+    error names the first non-finite row, as a per-step check would; the
+    rest of its block is computed and dropped.
+    """
+    times, steps = _grid(model, state0, t_end, dt)
+    n_steps = steps.size
+    n = model.oracle.dim
+    m = 2 * n if model.has_v else n
     # 0-d arrays for the array products, set at each step: numpy converts a
     # float operand on every call
     h_, half_, sixth_ = np.empty(()), np.empty(()), np.empty(())
@@ -326,6 +344,64 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     return _unpack(model, times, traj)
 
 
+@contextlib.contextmanager
+def _forked(fn):
+    """Run fn() in a forked child while the with block runs in this process.
+
+    Yields result(), which waits for the child and returns what fn
+    returned, or raises what fn raised (same type and message).  The child
+    sends its outcome through a pipe as a pickle and always leaves through
+    os._exit, so it runs no exit handler and flushes no buffer it
+    inherited.  The child is reaped before the block is left; if the block
+    raises first, the child is killed.  The child has only the forking
+    thread, so fn must take no lock another thread may hold at the fork.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (fn(), None)
+            except Exception as exc:
+                outcome = (None, exc)
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reader = open(read_fd, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        data = reader.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not data:
+            raise RuntimeError(f"the forked child ended without a result (wait status {status})")
+        value, exc = pickle.loads(data)
+        if exc is not None:
+            raise exc
+        return value
+
+    try:
+        yield result
+    finally:
+        reader.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
                            t_end: float, dt: float) -> dict:
     """Integrate and compare the Lyapunov value against its decay bound,
@@ -345,6 +421,13 @@ def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
     diverged, or there is no coarse run (a grid of one step), the estimate
     is infinite.  A step fails unless
     (L + err - bound) <= DECAY_REL_TOL |bound|, so a NaN anywhere fails.
+
+    The coarse run and its L values are computed in a forked child (POSIX
+    only), concurrently with the fine run in this process.  The child runs
+    the same code on the same inputs and sends back its float64 values
+    whole, so the report is identical to an in-process run's; an exception
+    the coarse run raises is raised here after the fine run.  On one CPU
+    the two processes time-share, at the cost of one fork.
     """
     from . import lyapunov as lyap_mod
 
@@ -352,33 +435,38 @@ def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
     if params is None:
         raise FlowError("Lyapunov spec has no decay parameters attached")
     log_time = FLOWS[model.kind].log_time
-    traj = integrate(model, state0, t_end, dt)
     oracle = model.oracle
-    t = traj.t
-    values = lyap_mod.evaluate(lyapunov, oracle, traj)
-    rate = np.broadcast_to(params.c(traj), t.shape)
-    s, w = (np.log(t), rate * t) if log_time else (t, rate)
-    # np.cumsum adds in sequence, as a running sum over the steps would
-    integral = np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))
-    l0, q = float(values[0]), params.q
-    if q == 1.0:
-        bound = l0 * np.exp(-integral)
-    else:
-        bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
-
-    n_steps = t.size - 1
+    times, _ = _grid(model, state0, t_end, dt)
+    n_steps = times.size - 1
     # the coarse run takes one step per pair of fine steps, to t[2 * pairs]
     pairs = n_steps // 2
-    shared = np.full(pairs + 1, math.inf)
-    if pairs:
+
+    def coarse_values():
         try:
-            coarse = integrate(model, state0, float(t[2 * pairs]),
+            coarse = integrate(model, state0, float(times[2 * pairs]),
                                dt * (2.0 + dt) if log_time else 2.0 * dt)
         except DivergenceError as exc:
             coarse = exc.trajectory
-        coarse_values = lyap_mod.evaluate(lyapunov, oracle, coarse)
-        reached = coarse_values.size
-        shared[:reached] = np.abs(values[:2 * reached:2] - coarse_values) / 15.0
+        return lyap_mod.evaluate(lyapunov, oracle, coarse)
+
+    shared = np.full(pairs + 1, math.inf)
+    with _forked(coarse_values) if pairs else contextlib.nullcontext() as coarse:
+        traj = integrate(model, state0, t_end, dt)
+        t = traj.t
+        values = lyap_mod.evaluate(lyapunov, oracle, traj)
+        rate = np.broadcast_to(params.c(traj), t.shape)
+        s, w = (np.log(t), rate * t) if log_time else (t, rate)
+        # np.cumsum adds in sequence, as a running sum over the steps would
+        integral = np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))
+        l0, q = float(values[0]), params.q
+        if q == 1.0:
+            bound = l0 * np.exp(-integral)
+        else:
+            bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
+        if pairs:
+            coarse_l = coarse()
+            reached = coarse_l.size
+            shared[:reached] = np.abs(values[:2 * reached:2] - coarse_l) / 15.0
     est = np.full(n_steps + 1, shared[-1])
     est[::2] = shared
     est[1:2 * pairs:2] = np.maximum(shared[:-1], shared[1:])

@@ -1,9 +1,9 @@
 """Command-line entry point: run solvers, integrate flows, verify Lyapunov
 pairings, and tabulate contraction-factor bounds.
 
-Exit codes: 0 on PASS, 1 on a certificate or bound failure, 2 on usage or
-configuration errors.  All numeric CSV output uses 17 significant digits
-so doubles round-trip exactly.
+Exit codes: 0 on PASS, 1 on a certificate or bound failure, 2 on usage,
+configuration or file (OSError) errors.  All numeric CSV output uses 17
+significant digits so doubles round-trip exactly.
 """
 
 from __future__ import annotations
@@ -153,10 +153,12 @@ def _run_config(config: dict) -> solvers.RunResult:
         stop_grad_tol=config.get("stop_grad_tol"),
     )
     out = config.get("out")
+    # write_csv's open would refuse these with the same errors, but only
+    # after a list's earlier traces were written
     if out and not os.path.exists(os.path.dirname(out) or "."):
-        # write_csv's open would refuse it with this error, but only after a
-        # list's earlier traces were written
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if out and os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     return result
 
 
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
         return 0 if report["pass"] else 1
     except (ConfigError, InvalidProblemError, schedules.ScheduleError,
             lyapunov.LyapunovConfigError, solvers.UnsupportedSolverError,
-            flows.FlowError, FileNotFoundError, json.JSONDecodeError) as exc:
+            flows.FlowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -378,23 +381,50 @@ class TestDecayChecks:
             continuous_decay_check(model, bare, FlowState(0.0, np.ones(2)), 1.0, 0.1)
 
 
+def trapezoid_bound(lyap, traj, values, log_time=False):
+    """The decay bound along traj from the trapezoid of c dt/ds in the
+    grid's variable s: t, or ln t on a log_time grid."""
+    rate = np.broadcast_to(lyap.strong_params.c(traj), traj.t.shape)
+    s, w = (np.log(traj.t), rate * traj.t) if log_time else (traj.t, rate)
+    integral = np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))
+    l0, q = float(values[0]), lyap.strong_params.q
+    if q == 1.0:
+        return l0 * np.exp(-integral)
+    return ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
+
+
 def uniform_rows(model, lyap, state0, t_end, dt):
     """The decay check's rows computed directly: the Lyapunov values on the
     uniform RK4 trajectory and the bound from the trapezoid of c in t."""
     traj = integrate(model, state0, t_end, dt)
     values = lyapunov.evaluate(lyap, model.oracle, traj)
-    rate = np.broadcast_to(lyap.strong_params.c(traj), traj.t.shape)
-    integral = np.cumsum(0.5 * (rate[:-1] + rate[1:]) * np.diff(traj.t))
-    l0, q = float(values[0]), lyap.strong_params.q
-    if q == 1.0:
-        bound = l0 * np.exp(-integral)
-    else:
-        bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
+    bound = trapezoid_bound(lyap, traj, values)
     d = traj.x[1:] - model.oracle.x_star
     x_err = np.sqrt(rowdot(d, d))
     gamma = [""] * bound.size if traj.gamma is None else traj.gamma[1:].tolist()
     return list(zip(traj.t[1:].tolist(), values[1:].tolist(), bound.tolist(),
                     x_err.tolist(), gamma))
+
+
+def in_process_verdict(model, lyap, state0, t_end, dt):
+    """The decay check's max_rel_error and pass from a fine and a
+    step-doubled coarse integrate call, both run in this process, on a grid
+    of an even number of steps."""
+    log_time = flows.FLOWS[model.kind].log_time
+    fine = integrate(model, state0, t_end, dt)
+    values = lyapunov.evaluate(lyap, model.oracle, fine)
+    bound = trapezoid_bound(lyap, fine, values, log_time)
+    assert fine.t.size % 2 == 1
+    coarse = integrate(model, state0, float(fine.t[-1]),
+                       dt * (2.0 + dt) if log_time else 2.0 * dt)
+    shared = np.abs(values[::2] - lyapunov.evaluate(lyap, model.oracle, coarse)) / 15.0
+    est = np.empty(fine.t.size)
+    est[::2] = shared
+    est[1::2] = np.maximum(shared[:-1], shared[1:])
+    scale = np.abs(bound) + 1e-300
+    err = est[1:] / scale
+    ok = bool(np.all((values[1:] + est[1:] - bound) / scale <= flows.DECAY_REL_TOL))
+    return float(np.max(err)), ok
 
 
 def finer_values(model, lyap, state0, t_end, n_steps, factor):
@@ -437,6 +467,14 @@ class TestErrorBudget:
     def test_uniform_rows_unchanged(self, kind, t_end):
         model, lyap, state0, report = self.check(kind, t_end, 1e-3)
         assert report["rows"] == uniform_rows(model, lyap, state0, t_end, 1e-3)
+
+    @pytest.mark.parametrize("kind, t_end", CERTIFY_DECAYS)
+    def test_verdict_matches_in_process_runs(self, kind, t_end):
+        # the coarse run's L values come back from a forked child bit for bit
+        model, lyap, state0, report = self.check(kind, t_end, 1e-3)
+        max_rel_error, ok = in_process_verdict(model, lyap, state0, t_end, 1e-3)
+        assert report["max_rel_error"].hex() == max_rel_error.hex()
+        assert report["pass"] is ok is True
 
     def test_unstable_coarse_run_fails_closed(self):
         # the fine run's L stays under its bound, but on 66 steps of about
@@ -489,3 +527,76 @@ class TestErrorBudget:
         assert max(report["max_rel_error"], rounding) >= error
         if dt > 1e-3 or flows.FLOWS[kind].log_time:
             assert error > rounding
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedCoarseRun:
+    DT = 0.01
+
+    def check(self):
+        model, lyap = lyapunov.flow_pairing("heavy_ball", QUAD)
+        state0 = flows.start_state(model, [4.0, -3.0], v0=np.zeros(2))
+        return continuous_decay_check(model, lyap, state0, 1.0, self.DT)
+
+    def patch_integrate(self, monkeypatch, fine=None, coarse=None):
+        """Make the fine or the coarse integrate call run fine() or coarse()
+        in its place; the coarse run is the one with step 2 dt."""
+        real = flows.integrate
+
+        def patched(model, state0, t_end, dt):
+            stand_in = coarse if dt == 2.0 * self.DT else fine
+            return stand_in() if stand_in else real(model, state0, t_end, dt)
+
+        monkeypatch.setattr(flows, "integrate", patched)
+
+    def test_child_reaped_after_return(self):
+        assert self.check()["pass"]
+        no_child_left()
+
+    def test_child_killed_after_fine_divergence(self, monkeypatch):
+        def fine():
+            raise DivergenceError("integration diverged at t=0.5", None)
+
+        self.patch_integrate(monkeypatch, fine=fine, coarse=lambda: time.sleep(60))
+        started = time.monotonic()
+        with pytest.raises(DivergenceError, match="t=0.5"):
+            self.check()
+        assert time.monotonic() - started < 30
+        no_child_left()
+
+    def test_coarse_exception_reaches_caller(self, monkeypatch):
+        def coarse():
+            raise ZeroDivisionError("the coarse run failed")
+
+        self.patch_integrate(monkeypatch, coarse=coarse)
+        with pytest.raises(ZeroDivisionError) as info:
+            self.check()
+        assert type(info.value) is ZeroDivisionError
+        assert str(info.value) == "the coarse run failed"
+        no_child_left()
+
+    def test_unpicklable_coarse_exception_still_fails(self, monkeypatch):
+        class Local(Exception):
+            pass
+
+        def coarse():
+            raise Local("a local class does not pickle")
+
+        self.patch_integrate(monkeypatch, coarse=coarse)
+        with pytest.raises(RuntimeError, match="without a result"):
+            self.check()
+        no_child_left()
+
+    def test_child_leaves_inherited_buffers_unflushed(self, capfd, monkeypatch):
+        # a block-buffered stdout on capfd's fd 1: a child that ran the exit
+        # handlers would flush its copy of the pending text too
+        with open(os.dup(1), "w") as stream, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stream)
+            print("written once", end="")
+            assert self.check()["pass"]
+        assert capfd.readouterr().out == "written once"
+        no_child_left()

@@ -117,7 +117,9 @@ class TestRunCommand:
         {"problem": QUAD_PROBLEM, "solver": "bogus", "iters": 10},
         {"problem": LASSO_PROBLEM, "solver": "gd", "iters": 10},
         gd_config("missing/second.csv"),
-    ], ids=["unread-key", "unknown-kind", "smooth-only-on-lasso", "missing-out-directory"])
+        gd_config("."),
+    ], ids=["unread-key", "unknown-kind", "smooth-only-on-lasso", "missing-out-directory",
+            "directory-out"])
     def test_refused_config_after_a_run_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                        refused):
         # the first config's trace was written before the second was refused
@@ -136,6 +138,17 @@ class TestRunCommand:
         captured = capsys.readouterr()
         with pytest.raises(FileNotFoundError) as opened:
             open("missing/t.csv", "w")
+        assert captured.out == "" and captured.err == f"error: {opened.value}\n"
+
+    def test_directory_out_refused_as_open_refuses_it(self, tmp_path, capsys, monkeypatch):
+        # it exited 1 with a traceback, after the run
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        path = write_json(tmp_path / "cfg.json", gd_config("adir"))
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        with pytest.raises(IsADirectoryError) as opened:
+            open("adir", "w")
         assert captured.out == "" and captured.err == f"error: {opened.value}\n"
 
     def test_config_list_writes_every_trace(self, tmp_path, capsys):
@@ -236,6 +249,15 @@ class TestFlowCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "smooth objectives only" in captured.err
         assert not out.exists()
+
+    def test_directory_out_exit_2(self, tmp_path, capsys):
+        # the write's IsADirectoryError ended it with a traceback and exit 1
+        problem = write_json(tmp_path / "p.json", QUAD_PROBLEM)
+        assert main(["flow", "--model", "gradient", "--problem", problem,
+                     "--t-end", "1", "--dt", "0.01", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     @pytest.mark.parametrize("t_end", ["1e300", "1e9"])
     def test_unallocatable_trajectory_exit_2(self, tmp_path, capsys, t_end):
@@ -343,6 +365,14 @@ class TestRatesCommand:
         assert "step rule" in captured.err
         if owner:
             assert f"--rule {owner}" in captured.err
+
+    def test_directory_out_exit_2(self, tmp_path, capsys):
+        # the write's IsADirectoryError ended it with a traceback and exit 1
+        assert main(["rates", "--rule", "nag", "--r", "1.0", "--mu-over-l", "0.0",
+                     "--kmax", "5", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_unknown_rule_exit_2(self):
         assert main(["rates", "--rule", "cubic", "--r", "1.0",
