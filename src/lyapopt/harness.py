@@ -1,5 +1,5 @@
 """Command-line entry point: run solvers, integrate flows, verify Lyapunov
-pairings, and tabulate contraction-factor bounds.
+pairings, tabulate contraction-factor bounds, and certify every claim at once.
 
 Exit codes: 0 on PASS, 1 on a certificate or bound failure, 2 on usage,
 configuration or file (OSError) errors.  All numeric CSV output uses 17
@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import calculus, flows, lyapunov, schedules, solvers
-from .problems import InvalidProblemError, float_array, problem_from_json
+from .problems import (InvalidProblemError, box_rng, float_array, make_lasso, make_quadratic,
+                       problem_from_json)
 
 log = logging.getLogger("lyapopt")
 
@@ -247,6 +248,60 @@ def cmd_rates(rule: str, r: float, mu_over_l: float, k_max: int,
             "max_violation": float(max_slack_violation) if finite else None}
 
 
+# The decay checks' flows, each to its end time (avd_r3 decays like 1/t^2)
+_DECAY_T_END = (("scaled_gradient", 10.0), ("heavy_ball", 10.0), ("avd_r3", 50.0),
+                ("hnag", 10.0))
+
+
+def cmd_certify(samples: int, seed: int, k_max: int) -> list:
+    """Every claim of the paper the artifact checks, as one (line, passed)
+    per claim: the named pairings' strong checks, the rate tables of each
+    step rule, the continuous decay checks, and each flow's strong check on
+    two LASSOs (mu > 0 and mu = 0; heavy ball needs mu > 0).  A refused
+    argument raises before the caller prints any line."""
+    claims = []
+
+    def claim(text, ok):
+        claims.append((f"{text}  {'PASS' if ok else 'FAIL'}", bool(ok)))
+
+    for name in lyapunov.PAIRING_NAMES:
+        rep = lyapunov.verify_pairing(name, samples, seed)
+        claim(f"pairing {name:17s} min slack {rep['min_slack']: .3e}", rep["pass"])
+
+    for rule in schedules.STEP_RULES:
+        for r in (0.25, 1.0, 4.0):
+            for q in (0.0, 1e-3):
+                rep = cmd_rates(rule, r, q, k_max)
+                excess = math.nan if rep["max_violation"] is None else rep["max_violation"]
+                claim(f"rate {rule:10s} r={r:<5g} mu/L={q:<6g} max excess {excess: .3e}",
+                      rep["pass"])
+
+    quad = make_quadratic([1.0, 4.0], [1.0, -2.0])
+    for name, t_end in _DECAY_T_END:
+        model, lyap = lyapunov.flow_pairing(name, quad)
+        state0 = flows.start_state(model, [4.0, -3.0], v0=np.zeros(2))
+        rep = flows.continuous_decay_check(model, lyap, state0, t_end, 1e-3)
+        claim(f"flow {name:16s} max rel excess {rep['max_rel_excess']: .3e}  "
+              f"max rel error {rep['max_rel_error']: .3e}", rep["pass"])
+
+    rng = box_rng(1)
+    lassos = (make_lasso(rng.standard_normal((12, 8)) + 2.0 * np.eye(12, 8),
+                         rng.standard_normal(12), 0.5),
+              make_lasso(rng.standard_normal((8, 20)), rng.standard_normal(8), 0.5))
+    for name in flows.FLOW_KINDS:
+        slacks, ok = [], True
+        for oracle in lassos:
+            if flows.FLOWS[name].needs_mu and oracle.mu == 0:
+                slacks.append("skipped")
+                continue
+            rep = lyapunov.strong_condition_check(*lyapunov.flow_pairing(name, oracle),
+                                                  samples, seed)
+            slacks.append(f"{rep['min_slack']: .3e}")
+            ok = ok and rep["pass"]
+        claim(f"composite {name:16s} min slack mu>0 {slacks[0]}  mu=0 {slacks[1]}", ok)
+    return claims
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lyapopt",
@@ -277,6 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--mu-over-l", type=float, required=True)
     p_rates.add_argument("--kmax", type=int, required=True)
     p_rates.add_argument("--out")
+
+    p_cert = sub.add_parser("certify", help="check every claim: one PASS/FAIL line each")
+    p_cert.add_argument("--samples", type=int, default=10_000)
+    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--kmax", type=int, default=1000)
     return parser
 
 
@@ -334,6 +394,13 @@ def main(argv=None) -> int:
                      "PASS" if report["pass"] else "FAIL")
             _print_json(report)
             return 0 if report["pass"] else 1
+        if args.command == "certify":
+            # the whole sweep runs before the first line, so a refused
+            # argument prints nothing
+            claims = cmd_certify(args.samples, args.seed, args.kmax)
+            for line, _ in claims:
+                print(line)
+            return 0 if all(passed for _, passed in claims) else 1
         report = cmd_rates(args.rule, args.r, args.mu_over_l, args.kmax, args.out)
         _print_json(report)
         return 0 if report["pass"] else 1

@@ -256,8 +256,8 @@ class TestExactSolutions:
 
 
 class TestStartState:
-    """start_state builds the start states that test_09_continuous_decay,
-    TestDecayChecks and scripts/verify_certificates.py write by hand."""
+    """start_state builds the start states that test_09_continuous_decay and
+    TestDecayChecks write by hand, and that `lyapopt certify` starts from."""
 
     X0 = np.array([4.0, -3.0])
 
@@ -440,7 +440,7 @@ def finer_values(model, lyap, state0, t_end, n_steps, factor):
     return lyapunov.evaluate(lyap, model.oracle, fine)[factor::factor]
 
 
-# scripts/verify_certificates.py's decay checks, run with dt = 1e-3
+# `lyapopt certify`'s decay checks (harness.cmd_certify), run with dt = 1e-3
 CERTIFY_DECAYS = [("scaled_gradient", 10.0), ("heavy_ball", 10.0), ("avd_r3", 50.0),
                   ("hnag", 10.0)]
 

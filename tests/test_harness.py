@@ -390,6 +390,44 @@ class TestRatesCommand:
         assert "kmax" in capsys.readouterr().err
 
 
+class TestCertifyCommand:
+    SMALL = ["--samples", "200", "--kmax", "50"]
+
+    def test_sweep_passes(self, capsys):
+        assert main(["certify", *self.SMALL]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 41 and all(line.endswith("  PASS") for line in lines)
+        kinds = [line.split()[0] for line in lines]
+        assert kinds == ["pairing"] * 8 + ["rate"] * 24 + ["flow"] * 4 + ["composite"] * 5
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "0", "samples must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--kmax", "-1", "kmax must be >= 0"),
+    ])
+    def test_refused_argument_exit_2(self, capsys, flag, value, message):
+        # the script these lines came from ended each in a traceback and
+        # exit 1; --kmax -1 printed the 8 pairing lines first
+        assert main(["certify", *self.SMALL, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_failed_claim_fails_the_sweep(self, capsys, monkeypatch):
+        verify = lyapunov.verify_pairing
+
+        def verify_hb_fails(name, samples, seed, c_override=None):
+            if name != "hb":
+                return verify(name, samples, seed, c_override)
+            return {"pairing": name, "min_slack": math.nan, "pass": False}
+
+        monkeypatch.setattr(lyapunov, "verify_pairing", verify_hb_fails)
+        assert main(["certify", *self.SMALL]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 41
+        assert lines[3] == "pairing hb                min slack  nan  FAIL"
+        assert all(line.endswith("  PASS") for line in lines[:3] + lines[4:])
+
+
 class TestLogging:
     def test_invalid_level_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("OPT_LOG_LEVEL", "verbose")
