@@ -101,15 +101,14 @@ def step_gd(oracle: ProblemOracle, state: SolverState, alpha: float) -> SolverSt
 
 
 def step_pg(oracle: ProblemOracle, state: SolverState, alpha: float) -> SolverState:
-    """Forward-backward step; records both gradient-mapping residuals."""
-    x = state.x
-    y = x - alpha * _grad(oracle, state)
+    """Forward-backward step; records the gradient-mapping residual d_next,
+    a subgradient of f at the new x."""
+    y = state.x - alpha * _grad(oracle, state)
     x_new = oracle.prox_g(y, alpha)
-    d_half = (x - x_new) / alpha
     g_new = oracle.grad_h(x_new)
     d_next = g_new + (y - x_new) / alpha
     return SolverState(k=state.k + 1, x=x_new, alpha=alpha, grad=g_new,
-                       aux={"d_half": d_half, "d_next": d_next})
+                       aux={"d_next": d_next})
 
 
 def step_scaled_ppa(oracle: ProblemOracle, state: SolverState, alpha: float) -> SolverState:
@@ -194,8 +193,7 @@ def step_apg(oracle: ProblemOracle, state: SolverState) -> SolverState:
     a_new = math.sqrt((a * a + a * mu / lip) / (1.0 + a))
     return SolverState(k=state.k + 1, x=x_new, v=v_new, y=y_new,
                        gamma=lip * a_new * a_new, alpha=a_new, grad=g_new,
-                       aux={"step_alpha": a,
-                            "resid_sq": float(_rowsq(_grad(oracle, state) + q_next))})
+                       aux={"resid": _grad(oracle, state) + q_next})
 
 
 def step_apg_fast_grad(oracle: ProblemOracle, state: SolverState) -> SolverState:
@@ -212,11 +210,8 @@ def step_apg_fast_grad(oracle: ProblemOracle, state: SolverState) -> SolverState
     d_next = g_new + q_next
     v_new = (gamma * state.v + mu * a * x_new - a * d_next) / (gamma + mu * a)
     gamma_new = (gamma + mu * a) / (1.0 + a)
-    key_id = a * a * beta * beta * lip / 2.0 + a * a / (2.0 * gamma) - a * beta
     return SolverState(k=state.k + 1, x=x_new, v=v_new, gamma=gamma_new, alpha=a,
-                       grad=g_new,
-                       aux={"d_next_sq": float(_rowsq(d_next)),
-                            "key_identity_err": abs(key_id + 1.0 / (4.0 * lip))})
+                       grad=g_new, aux={"d_next": d_next})
 
 
 def step_new_apg(oracle: ProblemOracle, state: SolverState) -> SolverState:
@@ -232,7 +227,7 @@ def step_new_apg(oracle: ProblemOracle, state: SolverState) -> SolverState:
     gamma_new = denom / (1.0 + a)
     d_f = lip * (y - x_new)
     return SolverState(k=state.k + 1, x=x_new, v=v_new, gamma=gamma_new, alpha=a,
-                       aux={"d_f": d_f, "y": y})
+                       aux={"d_f": d_f})
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +261,10 @@ class Block:
     def aux(self, name: str) -> np.ndarray:
         return self._column(("aux", name), lambda: np.array(
             [s.aux[name] for s in self.states], dtype=float))
+
+    def aux_sq(self, name: str) -> np.ndarray:
+        """The squared norm of each state's aux vector name."""
+        return self._column(("aux_sq", name), lambda: _rowsq(self.aux(name)))
 
     # the blocks lyapunov.value reads, so a Block stands in for a batched state
     x = property(lambda self: self.col("x"))
@@ -302,6 +301,11 @@ def _rowsq(d) -> np.ndarray:
 
 def _grad_sq(oracle, block):
     return _rowsq(block.grad)
+
+
+def _d_next_sq(oracle, block):
+    """|d_next|^2 per row: the residual pg and apg_fast_grad record."""
+    return block.aux_sq("d_next")
 
 
 def _divided(rho: float, d) -> np.ndarray:
@@ -441,8 +445,7 @@ METHODS = {
     "pg": Method(
         step=lambda o, s, a: step_pg(o, s, a), form="opt_gap",
         slack=_pg_slack, in_range=_pg_in_range, bound=_pg_bound,
-        default_alpha=lambda o: 1.0 / o.lip,
-        residual_sq=lambda o, b: _rowsq(b.aux("d_next"))),
+        default_alpha=lambda o: 1.0 / o.lip, residual_sq=_d_next_sq),
     "scaled_ppa": Method(
         step=lambda o, s, a: step_scaled_ppa(o, s, a), form="scaled",
         slack=_alpha_slack, bound=_measured_bound, blocks=("gamma",),
@@ -475,19 +478,19 @@ METHODS = {
         bounded=lambda o, l, r_sq: l - r_sq / (2.0 * o.lip), smooth=True, takes_alpha=False),
     "apg": Method(
         step=lambda o, s, a: step_apg(o, s), form="avd_nag",
-        slack=lambda o, b, q_old, q_new: (q_old - b.aux("resid_sq") / (2.0 * o.lip))
-        / (1.0 + b.aux("step_alpha")) - q_new,
+        slack=lambda o, b, q_old, q_new: (q_old - b.aux_sq("resid") / (2.0 * o.lip))
+        / (1.0 + b.col("alpha", old=True)) - q_new,
         bound=_schedule_bound("b0"), blocks=("v", "y", "gamma", "alpha"), takes_alpha=False),
     "apg_fast_grad": Method(
         step=lambda o, s, a: step_apg_fast_grad(o, s), form="avd_nag",
-        slack=lambda o, b, q_old, q_new: (q_old - b.aux("d_next_sq") / (4.0 * o.lip))
+        slack=lambda o, b, q_old, q_new: (q_old - _d_next_sq(o, b) / (4.0 * o.lip))
         / (1.0 + b.col("alpha")) - q_new,
         bound=_schedule_bound("fast_grad"), blocks=("v", "gamma"),
-        residual_sq=lambda o, b: b.aux("d_next_sq"), takes_alpha=False),
+        residual_sq=_d_next_sq, takes_alpha=False),
     "new_apg": Method(
         step=lambda o, s, a: step_new_apg(o, s), form="avd_nag",
         slack=_alpha_slack, bound=_schedule_bound("b_half"), blocks=("v", "gamma"),
-        residual_sq=lambda o, b: _rowsq(b.aux("d_f")), takes_alpha=False),
+        residual_sq=lambda o, b: b.aux_sq("d_f"), takes_alpha=False),
 }
 
 SOLVER_KINDS = tuple(METHODS)

@@ -121,7 +121,8 @@ class TestSingleSteps:
                 st = SolverState(k=0, x=rng.uniform(-2, 2, o.dim))
                 new = step_pg(o, st, alpha)
                 drop = o.eval_f(new.x) - o.eval_f(st.x)
-                dsq = float(np.dot(new.aux["d_half"], new.aux["d_half"]))
+                d_half = (st.x - new.x) / alpha
+                dsq = float(np.dot(d_half, d_half))
                 bound = alpha * (o.lip * alpha / 2.0 - 1.0) * dsq
                 assert drop <= bound + 1e-9 * (1.0 + dsq)
 
@@ -135,7 +136,8 @@ class TestSingleSteps:
             st = SolverState(k=0, x=np.array([1.0]))
             new = step_pg(o, st, alpha)
             drop = o.eval_f(new.x) - o.eval_f(st.x)
-            dsq = float(np.dot(new.aux["d_half"], new.aux["d_half"]))
+            d_half = (st.x - new.x) / alpha
+            dsq = float(np.dot(d_half, d_half))
             assert drop == pytest.approx(alpha * (lip * alpha / 2.0 - 1.0) * dsq)
             sharpened = alpha * ((lip - o.mu) * alpha / 2.0 - 1.0) * dsq
             assert drop > sharpened + 1e-12
@@ -180,7 +182,11 @@ class TestSingleSteps:
         st = init_state(o, "apg_fast_grad", np.zeros(o.dim), gamma0=4.0 * o.lip)
         new = step_apg_fast_grad(o, st)
         assert new.alpha == pytest.approx(1.0)
-        assert new.aux["key_identity_err"] <= 1e-12
+        # a^2 beta^2 L / 2 + a^2 / (2 gamma) - a beta = -1/(4L), beta = 1/(2 L a)
+        a, lip = new.alpha, o.lip
+        beta = 1.0 / (2.0 * lip * a)
+        key_id = a * a * beta * beta * lip / 2.0 + a * a / (2.0 * st.gamma) - a * beta
+        assert abs(key_id + 1.0 / (4.0 * lip)) <= 1e-12
 
     def test_avd_gs_needs_alpha(self):
         st = init_state(QUAD, "avd_gs", np.ones(2))
@@ -338,8 +344,8 @@ class TestRatesAndRunLoop:
         o = sc_lasso()
         st = init_state(o, "new_apg", np.zeros(o.dim))
         for _ in range(100):
-            st = step_new_apg(o, st)
-            d_f, y = st.aux["d_f"], st.aux["y"]
+            old, st = st, step_new_apg(o, st)
+            d_f, y = st.aux["d_f"], (old.x + st.alpha * old.v) / (1.0 + st.alpha)
             lhs = float(np.dot(d_f, y - o.x_star))
             rhs = (o.eval_f(st.x) - o.f_star
                    + 0.5 * o.mu * float(np.sum((y - o.x_star) ** 2))
@@ -651,14 +657,15 @@ REFERENCE_CERTIFICATES = {
                    _ref_identity),
     "nag": (_ref_alpha_slack, _ref_schedule_bound("nag"), _ref_divide, _ref_grad_sq,
             lambda o, l, r_sq: l - r_sq / (2.0 * o.lip)),
-    "apg": (lambda o, old, new, q_old, q_new: (q_old - new.aux["resid_sq"] / (2.0 * o.lip))
-            / (1.0 + new.aux["step_alpha"]) - q_new,
-            _ref_schedule_bound("b0"), lambda rho, new: rho / (1.0 + new.aux["step_alpha"]),
-            _ref_grad_sq, _ref_identity),
+    # apg's rho is read by none of its columns (its bound is the b0 formula)
+    "apg": (lambda o, old, new, q_old, q_new: (q_old - _ref_sq(new.aux["resid"]) / (2.0 * o.lip))
+            / (1.0 + old.alpha) - q_new,
+            _ref_schedule_bound("b0"), _ref_divide, _ref_grad_sq, _ref_identity),
     "apg_fast_grad": (lambda o, old, new, q_old, q_new:
-                      (q_old - new.aux["d_next_sq"] / (4.0 * o.lip)) / (1.0 + new.alpha) - q_new,
+                      (q_old - _ref_sq(new.aux["d_next"]) / (4.0 * o.lip)) / (1.0 + new.alpha)
+                      - q_new,
                       _ref_schedule_bound("fast_grad"), _ref_divide,
-                      lambda o, s: s.aux["d_next_sq"], _ref_identity),
+                      lambda o, s: _ref_sq(s.aux["d_next"]), _ref_identity),
     "new_apg": (_ref_alpha_slack, _ref_schedule_bound("b_half"), _ref_divide,
                 lambda o, s: _ref_sq(s.aux["d_f"]), _ref_identity),
 }
