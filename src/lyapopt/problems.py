@@ -310,7 +310,9 @@ def make_logcosh(scale: float, dim: int = 1) -> ProblemOracle:
             hi = mid
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
-    radius = 0.5 * (lo + hi)
+    # past the root, so the radius the rates rest on never errs small: the
+    # midpoint can sit below it, and hi too when logcosh rounds up at hi
+    radius = hi + (hi - lo)
 
     def prox_f(w, s):
         # solve x + s tanh(x) = w per coordinate; the root shares the sign of

@@ -206,6 +206,12 @@ class TestLogcosh:
         o = make_logcosh(2.0, dim=1)
         assert o.radius_r0 == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [2.0, 3.0, *box_rng(11).uniform(0.01, 5.0, 40)])
+    def test_radius_not_below_the_root(self, scale):
+        # one dimension: the sublevel set is exactly [-scale, scale]; the
+        # bisection midpoint gave 1.9999999999990905 for scale 2
+        assert make_logcosh(scale, dim=1).radius_r0 >= scale
+
     def test_radius_multidim(self):
         o = make_logcosh(1.5, dim=3)
         # the boundary point (r, 0, 0) attains the level exactly
