@@ -7,19 +7,13 @@ second-order system in its first-order form, and the gradient-corrected
 accelerated flow with an extra -(1/L) grad f damping term; each kind is
 one entry of FLOWS.  An RK4 integrator produces reference trajectories from
 start_state on each kind's time grid, and a decay checker confirms the
-Lyapunov bounds along them within a step-doubling error budget.  The
-checker runs the budget's coarse run in a forked child (POSIX only),
-concurrently with the fine run; its reports are identical to an in-process
-run's, and on one CPU the two processes time-share, at the cost of one fork.
+Lyapunov bounds along them within a bound on the integration's error,
+from the defect of the computed path's cubic Hermite interpolant.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional
 
@@ -32,7 +26,7 @@ FINITE_CHECK_STEPS = 256
 # integrate refuses a trajectory of more float64 values than this (512 MiB)
 MAX_TRAJECTORY_VALUES = 1 << 26
 # continuous_decay_check fails a step whose relative excess over the bound,
-# its error budget included, is above this
+# its error bound included, is above this
 DECAY_REL_TOL = 1e-3
 
 
@@ -51,16 +45,21 @@ class Flow(NamedTuple):
     # True: the grid is uniform in s = ln t, so the step grows like t and dt
     # is the step at t0 (which must be > 0); False: uniform in t
     log_time: bool = False
+    # the degrees in gamma of x' and v': each block of the field is
+    # homogeneous in gamma, so its gamma-derivative is degree * block / gamma
+    gamma_powers: tuple = (0.0, 0.0)
 
 
 FLOWS = {
     "gradient": Flow(has_v=False, has_gamma=False),
-    "scaled_gradient": Flow(has_v=False, has_gamma=True, gamma0=lambda o: o.lip),
+    "scaled_gradient": Flow(has_v=False, has_gamma=True, gamma0=lambda o: o.lip,
+                            gamma_powers=(-1.0, 0.0)),
     "heavy_ball": Flow(has_v=True, has_gamma=False, needs_mu=True),
     # gamma = 4/t^2 from t = 1: the rate sqrt(gamma) = 2/t sets a time scale ~ t
     "avd_r3": Flow(has_v=True, has_gamma=True, t0=1.0, gamma0=lambda o: 4.0,
-                   log_time=True),
-    "hnag": Flow(has_v=True, has_gamma=True, gamma0=lambda o: o.lip),
+                   log_time=True, gamma_powers=(0.5, -0.5)),
+    "hnag": Flow(has_v=True, has_gamma=True, gamma0=lambda o: o.lip,
+                 gamma_powers=(0.0, -1.0)),
 }
 FLOW_KINDS = tuple(FLOWS)
 
@@ -344,68 +343,101 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
     return _unpack(model, times, traj)
 
 
-@contextlib.contextmanager
-def _forked(fn):
-    """Run fn() in a forked child while the with block runs in this process.
+# the error bound's pass takes blocks of steps of about this many values
+_DEFECT_BLOCK_VALUES = 1 << 16
 
-    Yields result(), which waits for the child and returns what fn
-    returned, or raises what fn raised (same type and message).  The child
-    sends its outcome through a pipe as a pickle and always leaves through
-    os._exit, so it runs no exit handler and flushes no buffer it
-    inherited.  The child is reaped before the block is left; if the block
-    raises first, the child is killed.  The child has only the forking
-    thread, so fn must take no lock another thread may hold at the fork.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (fn(), None)
-            except Exception as exc:
-                outcome = (None, exc)
-            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as fh:
-                fh.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    reader = open(read_fd, "rb")
-    reaped = False
 
-    def result():
-        nonlocal reaped
-        data = reader.read()
-        _, status = os.waitpid(pid, 0)
-        reaped = True
-        if not data:
-            raise RuntimeError(f"the forked child ended without a result (wait status {status})")
-        value, exc = pickle.loads(data)
-        if exc is not None:
-            raise exc
-        return value
+def _rows(model: FlowModel, state: FlowState, r=slice(None)) -> np.ndarray:
+    """Rows r of a batched state laid out [x | v | gamma], as _unpack reads."""
+    gamma = state.gamma[r] if model.has_gamma else np.zeros(len(state.x[r]))
+    return np.column_stack([state.x[r]] + ([state.v[r]] if model.has_v else []) + [gamma])
 
-    try:
-        yield result
-    finally:
-        reader.close()
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+
+def _log_norm(model: FlowModel, gamma):
+    """The top Euclidean logarithmic norm of the field's Jacobian in [x | v]
+    over Hessians with spectrum in [mu, L], at each gamma of a column.  On
+    an eigenvector of the Hessian with eigenvalue lam the Jacobian is a
+    2 x 2 block, read off the field at unit x and v, and affine in lam, so
+    lam = mu or L gives the largest top eigenvalue of its symmetric part."""
+    x, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    top = -math.inf
+    for lam in (model.oracle.mu, model.oracle.lip):
+        jac = np.zeros((2, gamma.shape[0], 2))
+        model.rhs(x, v, gamma, lam * x, jac[0], jac[1] if model.has_v else None)
+        (a, b), (c, d) = jac.transpose(0, 2, 1)
+        top = np.maximum(top, 0.5 * (a + d) + np.hypot(0.5 * (a - d), 0.5 * (b + c)))
+    return top
+
+
+def _error_bound(model: FlowModel, lyap, traj: FlowState, values, rate) -> np.ndarray:
+    """A bound on |L(u) - L(z)| at each row, u the computed trajectory and
+    z the exact one (README, "Decay check and error bound").  The defect u' - F(u) of the nodes'
+    cubic Hermite interpolant, a cubic vanishing at both step ends for an
+    affine field, is bounded over each step by its two interior Bernstein
+    coefficients.  s = |u - z| follows s' <= -kappa s + |defect| +
+    |dF/dgamma| e_gamma, in the pairing's form W with kappa = c/2 where W
+    contracts errors, else in the Euclidean norm with kappa = -_log_norm."""
+    from .lyapunov import FORMS
+
+    oracle, (weight, centre) = model.oracle, FORMS[lyap.kind]
+    n, m = oracle.dim, oracle.dim * (2 if model.has_v else 1)
+    cols = slice(n, m) if centre == "v" else slice(0, n)
+    metric = (oracle.kind == "quadratic" and lyap.strong_params.q == 1.0
+              and (not model.has_v or (weight is not None and centre == "v")))
+    hess = oracle.grad_h(np.eye(n)) - oracle.grad_h(np.zeros(n)) if metric else None
+    powers = np.repeat(FLOWS[model.kind].gamma_powers, n)[:m]
+    steps, err = np.diff(traj.t), np.zeros(traj.t.size)
+    s, s_gamma = 0.0, np.zeros(1)
+    block = max(1, _DEFECT_BLOCK_VALUES // (m + 1))
+    for i0 in range(0, steps.size, block):
+        r = slice(i0 + 1, min(i0 + block, steps.size) + 1)
+        y, h = _rows(model, traj, slice(i0, r.stop)), steps[i0:r.stop - 1, None]
+        w = np.broadcast_to({None: 0.0, "mu": oracle.mu, "gamma": y[:, m]}[weight], h.size + 1)
+        w_step = np.maximum(w[:-1], w[1:])
+
+        def norm(e):
+            if not metric:
+                return np.sqrt(rowdot(e, e))
+            ex, ec = e[..., :n], e[..., cols]
+            return np.sqrt(rowdot(ex @ hess, ex) + w_step * rowdot(ec, ec))
+
+        def slopes(rows):
+            return _rows(model, field(model, _unpack(model, None, rows)))
+
+        f = slopes(y)
+        y0, y1, f0, f1 = y[:-1], y[1:], f[:-1], f[1:]
+        ya = (20.0 * y0 + 7.0 * y1 + h * (4.0 * f0 - 2.0 * f1)) / 27.0
+        yb = (7.0 * y0 + 20.0 * y1 + h * (2.0 * f0 - 4.0 * f1)) / 27.0
+        fa, fb, chord = slopes(ya), slopes(yb), (4.0 / 3.0) * (y1 - y0) / h
+        da, db = chord - f1 / 3.0 - fa, chord - f0 / 3.0 - fb
+        c1, c2 = 3.0 * da - 1.5 * db, 3.0 * db - 1.5 * da
+        source = np.maximum(norm(c1[:, :m]), norm(c2[:, :m]))
+        if model.has_gamma:
+            s_gamma = s_gamma[-1] + np.cumsum(h[:, 0] * np.maximum(abs(c1[:, m]), abs(c2[:, m])))
+            at, slope = np.stack([y0, y1, ya, yb]), np.stack([f0, f1, fa, fb])
+            source += s_gamma * norm(slope[..., :m] * powers / at[..., m:]).max(axis=0)
+        c = rate[i0:r.stop] if metric else -2.0 * _log_norm(model, y[:, m:])
+        decay = np.exp(-0.5 * np.minimum(c[:-1], c[1:]) * h[:, 0])
+        for i, a, b in zip(range(r.start, r.stop), decay.tolist(),
+                           (h[:, 0] * np.maximum(decay, 1.0) * source).tolist()):
+            s = err[i] = a * s + b
+        e, d, w = err[r].copy(), y[1:, cols] - oracle.x_star, w[1:]
+        dn = np.sqrt(rowdot(d, d))
+        if metric:
+            err[r] = e * np.sqrt(2.0 * np.maximum(values[r], 0.0)) + 0.5 * e * e
+        else:
+            grad = oracle.grad_h(y[1:, :n])
+            err[r] = (np.sqrt(rowdot(grad, grad)) + w * dn) * e + 0.5 * (oracle.lip + w) * e * e
+        if weight == "gamma":
+            err[r] += 0.5 * s_gamma * (dn + (e / np.sqrt(w) if metric else e)) ** 2
+    err[np.isnan(err)] = math.inf
+    return err
 
 
 def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
                            t_end: float, dt: float) -> dict:
     """Integrate and compare the Lyapunov value against its decay bound,
-    within an error budget for the integration.
+    within a bound on the integration's error.
 
     The bound accumulates the decay-rate integral along the trajectory by
     the trapezoid rule in the grid's variable s (the integrand c dt/ds: c
@@ -413,68 +445,35 @@ def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
     decay exp(-int c) for exponent q = 1, the algebraic closure
     ((q-1) int c + L0^(1-q))^(1/(1-q)) for q > 1.
 
-    The budget is step doubling: a second run on every other point of the
-    grid (step 2 dt, or (1 + dt)^2 - 1 in ln t) estimates the error of L at
-    each shared point as |L_h - L_2h| / 15; a row between shared points
-    takes the larger estimate of its two neighbours, and a final row past
-    the last shared point takes that point's.  Where the coarse run
-    diverged, or there is no coarse run (a grid of one step), the estimate
-    is infinite.  A step fails unless
+    err at each row bounds |L(u) - L(z)|, u the computed state and z the
+    exact one (_error_bound).  A step fails unless
     (L + err - bound) <= DECAY_REL_TOL |bound|, so a NaN anywhere fails.
-
-    The coarse run and its L values are computed in a forked child (POSIX
-    only), concurrently with the fine run in this process.  The child runs
-    the same code on the same inputs and sends back its float64 values
-    whole, so the report is identical to an in-process run's; an exception
-    the coarse run raises is raised here after the fine run.  On one CPU
-    the two processes time-share, at the cost of one fork.
     """
     from . import lyapunov as lyap_mod
 
     params = lyapunov.strong_params
     if params is None:
         raise FlowError("Lyapunov spec has no decay parameters attached")
-    log_time = FLOWS[model.kind].log_time
     oracle = model.oracle
-    times, _ = _grid(model, state0, t_end, dt)
-    n_steps = times.size - 1
-    # the coarse run takes one step per pair of fine steps, to t[2 * pairs]
-    pairs = n_steps // 2
-
-    def coarse_values():
-        try:
-            coarse = integrate(model, state0, float(times[2 * pairs]),
-                               dt * (2.0 + dt) if log_time else 2.0 * dt)
-        except DivergenceError as exc:
-            coarse = exc.trajectory
-        return lyap_mod.evaluate(lyapunov, oracle, coarse)
-
-    shared = np.full(pairs + 1, math.inf)
-    with _forked(coarse_values) if pairs else contextlib.nullcontext() as coarse:
-        traj = integrate(model, state0, t_end, dt)
-        t = traj.t
-        values = lyap_mod.evaluate(lyapunov, oracle, traj)
-        rate = np.broadcast_to(params.c(traj), t.shape)
-        s, w = (np.log(t), rate * t) if log_time else (t, rate)
-        # np.cumsum adds in sequence, as a running sum over the steps would
-        integral = np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))
-        l0, q = float(values[0]), params.q
-        if q == 1.0:
-            bound = l0 * np.exp(-integral)
-        else:
-            bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
-        if pairs:
-            coarse_l = coarse()
-            reached = coarse_l.size
-            shared[:reached] = np.abs(values[:2 * reached:2] - coarse_l) / 15.0
-    est = np.full(n_steps + 1, shared[-1])
-    est[::2] = shared
-    est[1:2 * pairs:2] = np.maximum(shared[:-1], shared[1:])
-
-    val, err = values[1:], est[1:]
+    traj = integrate(model, state0, t_end, dt)
+    t = traj.t
+    values = lyap_mod.evaluate(lyapunov, oracle, traj)
+    rate = np.broadcast_to(params.c(traj), t.shape)
+    s, w = (np.log(t), rate * t) if FLOWS[model.kind].log_time else (t, rate)
+    # np.cumsum adds in sequence, as a running sum over the steps would
+    integral = np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))
+    l0, q = float(values[0]), params.q
+    if q == 1.0:
+        bound = l0 * np.exp(-integral)
+    else:
+        bound = ((q - 1.0) * integral + l0 ** (1.0 - q)) ** (1.0 / (1.0 - q))
+    val = values[1:]
     scale = np.abs(bound) + 1e-300
     excess = (val - bound) / scale
-    bad = np.flatnonzero(~((val + err - bound) / scale <= DECAY_REL_TOL))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        err = _error_bound(model, lyapunov, traj, values, rate)[1:]
+        bad = np.flatnonzero(~((val + err - bound) / scale <= DECAY_REL_TOL))
+        max_rel_error = float(np.max(err / scale))
     d = traj.x[1:] - oracle.x_star
     x_err = np.sqrt(rowdot(d, d))
     gamma = [""] * bound.size if traj.gamma is None else traj.gamma[1:].tolist()
@@ -484,6 +483,6 @@ def continuous_decay_check(model: FlowModel, lyapunov, state0: FlowState,
         "rel_tol": DECAY_REL_TOL,
         "first_violation_t": float(t[1 + bad[0]]) if bad.size else None,
         "max_rel_excess": float(np.max(excess, initial=0.0, where=~np.isnan(excess))),
-        "max_rel_error": float(np.max(err / scale)),
+        "max_rel_error": max_rel_error,
         "rows": rows,
     }

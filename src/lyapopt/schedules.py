@@ -141,8 +141,9 @@ def iterate_schedule(rule: str, gamma0: float, mu: float, lip: float, k_max: int
     """
     if rule not in STEP_RULES:
         raise ScheduleError(f"unknown step rule: {rule!r}")
-    if lip <= 0 or k_max < 0:
-        raise ScheduleError("iterate_schedule needs lip > 0 and k_max >= 0")
+    # written so that a NaN gamma0 gets through, to a NaN table
+    if gamma0 <= 0 or lip <= 0 or k_max < 0:
+        raise ScheduleError("iterate_schedule needs gamma0 > 0, lip > 0 and k_max >= 0")
     alpha_fn = STEP_RULES[rule]
     # on Python floats, and returned as such: a numpy element read or write
     # costs more than the step, here and in every per-k reader

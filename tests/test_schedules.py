@@ -92,6 +92,10 @@ class TestIterateSchedule:
             iterate_schedule("nag", 1.0, 0.0, 1.0, -1)
         with pytest.raises(ScheduleError):
             iterate_schedule("nag", 1.0, 0.0, 0.0, 10)
+        # a negative gamma0 reached math.sqrt in the step rule (ValueError)
+        for gamma0 in (0.0, -1.0):
+            with pytest.raises(ScheduleError, match="gamma0 > 0"):
+                iterate_schedule("apg", gamma0, 0.0, 1.0, 0)
         alphas, gammas, rhos = iterate_schedule("apg", 1.0, 0.0, 1.0, 0)
         assert alphas == [] and gammas == [1.0] and rhos == [1.0]
 
