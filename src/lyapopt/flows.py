@@ -344,7 +344,7 @@ def integrate(model: FlowModel, state0: FlowState, t_end: float, dt: float) -> F
 
 
 # the error bound's pass takes blocks of steps of about this many values
-_DEFECT_BLOCK_VALUES = 1 << 16
+_DEFECT_BLOCK_VALUES = 1 << 13
 
 
 def _rows(model: FlowModel, state: FlowState, r=slice(None)) -> np.ndarray:
