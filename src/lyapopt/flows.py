@@ -371,12 +371,12 @@ def _log_norm(model: FlowModel, gamma):
 
 def _error_bound(model: FlowModel, lyap, traj: FlowState, values, rate) -> np.ndarray:
     """A bound on |L(u) - L(z)| at each row, u the computed trajectory and
-    z the exact one (README, "Decay check and error bound").  The defect u' - F(u) of the nodes'
-    cubic Hermite interpolant, a cubic vanishing at both step ends for an
-    affine field, is bounded over each step by its two interior Bernstein
-    coefficients.  s = |u - z| follows s' <= -kappa s + |defect| +
-    |dF/dgamma| e_gamma, in the pairing's form W with kappa = c/2 where W
-    contracts errors, else in the Euclidean norm with kappa = -_log_norm."""
+    z the exact one (README, "Decay check and error bound").  The defect
+    u' - F(u) of the nodes' cubic Hermite interpolant (a cubic vanishing at
+    the step ends for an affine field) is bounded by its two interior
+    Bernstein coefficients.  s = |u - z| obeys s' <= -kappa s + |defect| +
+    |dF/dgamma| e_gamma: in the pairing's form W, kappa = c/2 where W
+    contracts errors; in the Euclidean norm, kappa = -_log_norm."""
     from .lyapunov import FORMS
 
     oracle, (weight, centre) = model.oracle, FORMS[lyap.kind]
