@@ -373,10 +373,10 @@ def _error_bound(model: FlowModel, lyap, traj: FlowState, values, rate) -> np.nd
     """A bound on |L(u) - L(z)| at each row, u the computed trajectory and
     z the exact one (README, "Decay check and error bound").  The defect
     u' - F(u) of the nodes' cubic Hermite interpolant (a cubic vanishing at
-    the step ends for an affine field) is bounded by its two interior
-    Bernstein coefficients.  s = |u - z| obeys s' <= -kappa s + |defect| +
-    |dF/dgamma| e_gamma: in the pairing's form W, kappa = c/2 where W
-    contracts errors; in the Euclidean norm, kappa = -_log_norm."""
+    the step ends for an affine field) has a mean norm over each step of at
+    most (|c1| + |c2|)/4, c1 and c2 its interior Bernstein coefficients.
+    s = |u - z| obeys s' <= -kappa s + |defect| + |dF/dgamma| e_gamma: in
+    W, the pairing's form, kappa = c/2; in the Euclidean norm, -_log_norm."""
     from .lyapunov import FORMS
 
     oracle, (weight, centre) = model.oracle, FORMS[lyap.kind]
@@ -411,9 +411,9 @@ def _error_bound(model: FlowModel, lyap, traj: FlowState, values, rate) -> np.nd
         fa, fb, chord = slopes(ya), slopes(yb), (4.0 / 3.0) * (y1 - y0) / h
         da, db = chord - f1 / 3.0 - fa, chord - f0 / 3.0 - fb
         c1, c2 = 3.0 * da - 1.5 * db, 3.0 * db - 1.5 * da
-        source = np.maximum(norm(c1[:, :m]), norm(c2[:, :m]))
+        source = 0.25 * (norm(c1[:, :m]) + norm(c2[:, :m]))
         if model.has_gamma:
-            s_gamma = s_gamma[-1] + np.cumsum(h[:, 0] * np.maximum(abs(c1[:, m]), abs(c2[:, m])))
+            s_gamma = s_gamma[-1] + np.cumsum(0.25 * h[:, 0] * (abs(c1[:, m]) + abs(c2[:, m])))
             at, slope = np.stack([y0, y1, ya, yb]), np.stack([f0, f1, fa, fb])
             source += s_gamma * norm(slope[..., :m] * powers / at[..., m:]).max(axis=0)
         c = rate[i0:r.stop] if metric else -2.0 * _log_norm(model, y[:, m:])

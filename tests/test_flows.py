@@ -473,28 +473,27 @@ class TestErrorBudget:
         *_, report = self.check("heavy_ball", 10.0, 1e-3)
         assert report["pass"]
 
-    def test_unstable_coarse_run_fails_closed(self):
-        # the run's L stays under its decay bound, but on 66 steps of about
-        # 6% of t the error bound outgrows the room under it
+    def test_coarse_log_grid_passes_within_its_bound(self):
+        # 132 steps of about 3% of t: the error bound is a tenth or so of
+        # the decay bound, and L stays under what is left (step doubling
+        # failed this grid: its coarse run was unstable)
         *_, report = self.check("avd_r3", 50.0, 0.03)
         rows = report["rows"]
         assert len(rows) == 132
         assert all(val - bound <= flows.DECAY_REL_TOL * abs(bound)
                    for _, val, bound, *_ in rows)
-        assert report["max_rel_excess"] <= flows.DECAY_REL_TOL
-        assert not report["pass"]
-        assert report["max_rel_error"] > 1.0
-        assert 1.0 < report["first_violation_t"] < 50.0
+        assert report["pass"] and report["first_violation_t"] is None
+        assert 0.01 < report["max_rel_error"] < 1.0
 
     def test_log_grid_of_half_steps_fails_on_its_bound(self):
         # on the log grid 1, 1.5, 2.25, ... (dt = 0.5) L stays under its decay
-        # bound, but the error bound is hundreds of times the decay bound
+        # bound, but the error bound is tens of times the decay bound
         *_, report = self.check("avd_r3", 1.5 ** 4, 0.5)
         assert [row[0] for row in report["rows"]] == pytest.approx([1.5, 2.25, 3.375, 5.0625])
         assert report["max_rel_excess"] <= flows.DECAY_REL_TOL
         assert not report["pass"]
-        assert report["first_violation_t"] == 1.5
-        assert 100.0 < report["max_rel_error"] < math.inf
+        assert report["first_violation_t"] == 2.25
+        assert 10.0 < report["max_rel_error"] < math.inf
 
     def test_one_step_is_bounded(self):
         # a grid of one step has an error bound like any other
@@ -506,7 +505,7 @@ class TestErrorBudget:
         *((kind, t_end, 1e-3) for kind, t_end in CERTIFY_DECAYS),
         *((kind, 10.0, 0.05) for kind in ("scaled_gradient", "heavy_ball", "hnag")),
         ("avd_r3", 50.0, 0.02),
-        # the coarse grids above, two failing and one passing
+        # the coarse grids above: two pass, one fails
         ("avd_r3", 50.0, 0.03),
         ("avd_r3", 1.5 ** 4, 0.5),
         ("scaled_gradient", 1.0, 5.0),
@@ -520,7 +519,7 @@ class TestErrorBudget:
         model, lyap = lyapunov.flow_pairing("avd_r3", QUAD)
         state0 = flows.start_state(model, QUAD.x_star + 1.0)
         report = continuous_decay_check(model, lyap, state0, 50.0, 0.03)
-        assert report["pass"] and report["max_rel_error"] > 0.1
+        assert report["pass"] and report["max_rel_error"] > 0.01
         assert_bound_covers_finer_run(model, lyap, state0, 50.0, 0.03)
 
     @pytest.mark.parametrize("dt", [0.05, 1e-3])

@@ -204,9 +204,9 @@ class TestFlowCommand:
 
     @pytest.mark.parametrize("dt, code", [("1e-3", 0), ("0.03", 0)])
     def test_avd_error_budget(self, tmp_path, capsys, dt, code):
-        # the error bound is O(h^3): 2e-5 of the decay bound at dt = 1e-3,
+        # the error bound is O(h^3): 1e-5 of the decay bound at dt = 1e-3,
         # and at dt = 0.03 (where step doubling's coarse run was unstable)
-        # 0.9 of it, under which L still stays
+        # 0.12 of it, under which L still stays
         problem = write_json(tmp_path / "p.json",
                              {"kind": "quadratic", "eigs": [1.0, 4.0], "b": [1.0, -2.0]})
         assert main(["flow", "--model", "avd_r3", "--problem", problem,
