@@ -475,8 +475,7 @@ class TestErrorBudget:
 
     def test_coarse_log_grid_passes_within_its_bound(self):
         # 132 steps of about 3% of t: the error bound is a tenth or so of
-        # the decay bound, and L stays under what is left (step doubling
-        # failed this grid: its coarse run was unstable)
+        # the decay bound, and L stays under what is left
         *_, report = self.check("avd_r3", 50.0, 0.03)
         rows = report["rows"]
         assert len(rows) == 132

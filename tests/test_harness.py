@@ -205,8 +205,7 @@ class TestFlowCommand:
     @pytest.mark.parametrize("dt, code", [("1e-3", 0), ("0.03", 0)])
     def test_avd_error_budget(self, tmp_path, capsys, dt, code):
         # the error bound is O(h^3): 1e-5 of the decay bound at dt = 1e-3,
-        # and at dt = 0.03 (where step doubling's coarse run was unstable)
-        # 0.12 of it, under which L still stays
+        # and at dt = 0.03 0.12 of it, under which L still stays
         problem = write_json(tmp_path / "p.json",
                              {"kind": "quadratic", "eigs": [1.0, 4.0], "b": [1.0, -2.0]})
         assert main(["flow", "--model", "avd_r3", "--problem", problem,
